@@ -16,8 +16,7 @@ Measures what the IR layer buys a campaign:
   candidate when sweeping all models, versus the as-if-unshared count.
 
 Run directly (``python benchmarks/bench_ir.py --json OUT.json``) for the
-CI artifact (BENCH_ir.json), tracked next to BENCH_campaign.json and
-BENCH_fuzz.json from PR 4 onward.
+CI artifact (BENCH_ir.json).
 """
 
 import pytest
@@ -81,18 +80,13 @@ def _bucketed(executions) -> dict:
     return buckets
 
 
-def _sweep_prefill(executions, use_codegen: bool) -> int:
+def _sweep_prefill(executions) -> int:
     """The ``engine.batchsweep`` prefill shape: one shared
-    :class:`BatchContext` per universe bucket, every model swept over
-    it — through the generated kernels or the interpreted plans.
-
-    This is the shape the codegen tier targets: leaves are packed once
-    per context, interior values are shared across models, and the two
-    tiers differ only in how each model's kernel sequence is driven
-    (straight-line generated code vs per-node dispatch)."""
+    :class:`BatchContext` per universe bucket, every model's generated
+    kernel swept over it — leaves are packed once per context and
+    interior values are shared across models."""
     from repro.ir import codegen
     from repro.ir.batch import BatchContext
-    from repro.ir.plan import plan_for
 
     evals = 0
     for stack in _bucketed(executions).values():
@@ -102,13 +96,9 @@ def _sweep_prefill(executions, use_codegen: bool) -> int:
             definition = model.batch_definition()
             assert definition is not None
             token = model.definition_token()
-            target = ctx if model.tm else ctx.baseline
-            runner = None
-            if use_codegen:
-                runner = codegen.compiled_for(token, definition, ctx.n)
-            if runner is None:
-                runner = plan_for(token, definition, ctx.n)
-            runner.consistent(target)
+            kernel = codegen.compiled_for(token, definition, ctx.n)
+            assert kernel is not None, "batched kernels need numpy"
+            kernel(ctx if model.tm else ctx.baseline)
             evals += len(model.axioms()) * len(stack)
     return evals
 
@@ -132,10 +122,8 @@ def test_ir_all_models_sweep_batched(benchmark, once):
 
 
 def test_ir_all_models_sweep_codegen(benchmark, once):
-    _sweep_prefill(_fresh_executions(), use_codegen=True)  # warm kernels
-    evals = once(
-        benchmark, _sweep_prefill, _fresh_executions(), use_codegen=True
-    )
+    _sweep_prefill(_fresh_executions())  # warm kernels
+    evals = once(benchmark, _sweep_prefill, _fresh_executions())
     assert evals > 0
 
 
@@ -228,29 +216,21 @@ def _artifact(json_path: str, manifest_path: "str | None" = None) -> dict:
     batched_evals = _sweep_all_models_batched(batched_stack)
     batched_elapsed = time.perf_counter() - start
 
-    # Codegen vs interpreted: the same prefill-shaped sweep driven by
-    # the generated kernels and by the interpreted plans, fresh
+    # The prefill-shaped sweep through the generated kernels, fresh
     # contexts each round, best-of-repeats (wall noise on shared CI
     # runners dwarfs the per-round spread otherwise).
-    _sweep_prefill(_fresh_executions(), use_codegen=True)  # warm kernels
+    _sweep_prefill(_fresh_executions())  # warm kernels
     cg_rounds = 12
 
-    def _tier_seconds(use_codegen: bool) -> float:
-        best = None
-        for _ in range(3):
-            batches = [_fresh_executions() for _ in range(cg_rounds)]
-            start = time.perf_counter()
-            for batch in batches:
-                _sweep_prefill(batch, use_codegen=use_codegen)
-            took = time.perf_counter() - start
-            best = took if best is None else min(best, took)
-        return best
+    def _prefill_seconds() -> float:
+        batches = [_fresh_executions() for _ in range(cg_rounds)]
+        start = time.perf_counter()
+        for batch in batches:
+            _sweep_prefill(batch)
+        return time.perf_counter() - start
 
-    interp_seconds = _tier_seconds(False)
-    codegen_seconds = _tier_seconds(True)
-    cg_evals = cg_rounds * _sweep_prefill(
-        _fresh_executions(), use_codegen=True
-    )
+    codegen_seconds = min(_prefill_seconds() for _ in range(3))
+    cg_evals = cg_rounds * _sweep_prefill(_fresh_executions())
 
     ratio, union_nodes, individual_nodes = _sharing()
 
@@ -276,16 +256,6 @@ def _artifact(json_path: str, manifest_path: "str | None" = None) -> dict:
         else 0.0,
         "codegen_axiom_evals_per_second": round(
             cg_evals / codegen_seconds, 1
-        )
-        if codegen_seconds
-        else 0.0,
-        "interpreted_axiom_evals_per_second": round(
-            cg_evals / interp_seconds, 1
-        )
-        if interp_seconds
-        else 0.0,
-        "codegen_vs_interpreted_speedup": round(
-            interp_seconds / codegen_seconds, 2
         )
         if codegen_seconds
         else 0.0,
@@ -319,9 +289,6 @@ def _artifact(json_path: str, manifest_path: "str | None" = None) -> dict:
                 ],
                 "batch_vs_scalar_speedup": payload[
                     "batch_vs_scalar_speedup"
-                ],
-                "codegen_vs_interpreted_speedup": payload[
-                    "codegen_vs_interpreted_speedup"
                 ],
                 "cross_model_sharing_ratio": payload[
                     "cross_model_sharing_ratio"

@@ -424,7 +424,6 @@ def _cmd_submit(args) -> int:
             "retries": args.retries,
             "shards": args.shards,
             "batch": args.batch,
-            "codegen": args.codegen,
         },
         "label": args.label or "",
     }
@@ -967,12 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate chunk size for this job's batched "
                         "kernels (0 = scalar path; default: the "
                         "server's setting)")
-    p.add_argument("--codegen", action="store_true", default=None,
-                   help="force the generated-kernel tier on for this "
-                        "job (default: the server's setting)")
-    p.add_argument("--no-codegen", dest="codegen", action="store_false",
-                   help="force the generated-kernel tier off for this "
-                        "job (interpreted plans)")
     p.add_argument("--watch", action="store_true",
                    help="print each cell as it lands")
     p.add_argument("--no-wait", action="store_true",

@@ -18,9 +18,9 @@ yields hundreds of candidates sharing a universe size.
    by :data:`PREFILL_STREAM_CAP`;
 2. **Sweep** — bucket every collected execution by universe size, build
    one :class:`~repro.ir.batch.BatchContext` per bucket, and run each
-   participating model's compiled plan (:func:`repro.ir.plan.
-   consistent_on`) over the *whole bucket* — base-relation packing and
-   hash-consed node kernels are paid once per bucket and shared by all
+   participating model's batched kernel (:func:`repro.ir.plan.
+   consistent_on`) over the *whole bucket* — leaf packing and
+   hash-consed node values are paid once per bucket and shared by all
    models;
 3. **Assemble** — each cell's verdict is the same quantifier over the
    same candidate set the scalar path uses (``exists``: any consistent
@@ -45,6 +45,7 @@ import time
 from typing import Callable, Iterable
 
 from ..core.execution import Execution
+from ..ir import plan as ir_plan
 from ..ir.batch import BatchContext
 from ..litmus.candidates import batch_size, candidate_executions, expand_test
 from ..litmus.test import LitmusTest
@@ -239,9 +240,7 @@ def prefill_units(units):
                     (cell.spec, cell.model, cell.definition)
                 )
 
-    # -- one context per bucket chunk, every model's plan over it --------
-    from ..ir.plan import consistent_on
-
+    # -- one context per bucket chunk, every model's kernel over it ------
     flags: dict[str, dict[Execution, bool]] = {}
     broken: set[str] = set()
     for n, index in buckets.items():
@@ -253,7 +252,7 @@ def prefill_units(units):
                 if spec in broken:
                     continue
                 try:
-                    out = consistent_on(model, definition, ctx)
+                    out = ir_plan.consistent_on(model, definition, ctx)
                 except Exception:
                     # The per-cell fallback will reproduce (and report)
                     # the failure for exactly the affected cells.

@@ -1,55 +1,49 @@
-"""Batch evaluation: one IR node over a *stack* of candidate executions.
+"""Candidate stacks for the batched evaluator.
 
-Mirrors :mod:`repro.ir.eval` kernel-for-kernel, but each value is a
-:class:`~repro.core.relbatch.RelationBatch` /
-:class:`~repro.core.relbatch.SetBatch` covering every candidate in a
-:class:`BatchContext` at once:
+A :class:`BatchContext` is a stack of candidate analyses sharing one
+universe size: the unit the generated kernels (:mod:`repro.ir.codegen`)
+evaluate a model over.  Its memo holds every batched value keyed like
+the scalar ``_ir_memo`` (node ids, ``("fix", ...)`` tuples), with the
+scalar path's ``txn_free`` split: a transaction-independent value of a
+baseline context lives on (and is computed against) the *parent*
+context, so one stack's ``tm=True`` and ``tm=False`` sweeps share it.
 
-* results are memoized per ``(node, batch)`` in the context's memo,
-  with the scalar path's ``txn_free`` split — a txn-free node evaluated
-  on a baseline context stores on (and is computed against) the
-  *parent* context, so one chunk's ``tm=True`` and ``tm=False`` sweeps
-  share it;
-* the scalar shortcut table (:data:`repro.ir.eval._SHORTCUTS`) is
-  honoured by applying the registered getter per candidate and packing
-  the results — reusing whatever each analysis already cached — so the
-  two paths cannot drift on shortcut semantics;
-* fixpoints (``let rec``) run the same simultaneous Kleene iteration,
-  batch-wide: one iteration count for the whole stack, converging when
-  every candidate's components are stable;
-* :func:`axiom_holds_batch` returns one bool per candidate and
-  cross-fills the scalar per-candidate predicate memo (same negative
-  keys as :func:`repro.ir.eval.axiom_holds`), so scalar and batched
-  sweeps of the same candidates share verdicts in both directions.
+Every batched value is a ``float32`` 0/1 stack — ``[batch, n, n]`` for
+relations (``v[b, i, j]`` is 1 iff ``(i, j)`` is in candidate ``b``'s
+relation), ``[batch, n]`` for event sets.  :func:`pack_relations` and
+:func:`pack_sets` build those stacks straight from each candidate's
+scalar :class:`~repro.core.relation.Relation` rows and event sets.
 
-Base relations and sets are packed from the per-candidate analysis
-properties (``po``, ``rf``, labelled sets, ...), which the rest of the
-toolflow has usually already computed and cached.
+numpy is optional: when it is missing, or ``REPRO_NO_NUMPY=1`` is set,
+:data:`HAVE_NUMPY` is False and every consistency check runs on the
+scalar reference (:mod:`repro.ir.eval`).
 """
 
 from __future__ import annotations
 
-from ..core.analysis import CandidateAnalysis, analyze
-from ..core.relation import Relation
-from ..core.relbatch import RelationBatch, SetBatch
-from .eval import (
-    _BASE_RELATION,
-    _BASE_SET,
-    _KIND_CODE,
-    _LABEL_FOR_SET,
-    _SHORTCUTS,
-    STATS,
-)
-from .nodes import Node
+import os
 
-__all__ = ["BatchContext", "evaluate_batch", "axiom_holds_batch"]
+from ..core.analysis import CandidateAnalysis, analyze
+
+try:  # pragma: no cover - exercised by the no-numpy CI job
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
+
+if os.environ.get("REPRO_NO_NUMPY"):
+    _np = None
+
+#: True when numpy is importable and not disabled by ``REPRO_NO_NUMPY``.
+HAVE_NUMPY = _np is not None
+
+__all__ = ["BatchContext", "HAVE_NUMPY", "pack_relations", "pack_sets"]
 
 
 class BatchContext:
     """A stack of candidate analyses sharing one universe size.
 
     The batched analogue of one :class:`CandidateAnalysis`: it carries
-    the per-(node, batch) memo and the baseline link for the
+    the per-stack value memo and the baseline link for the
     ``txn_free`` sharing split.
     """
 
@@ -90,234 +84,35 @@ class BatchContext:
             )
         return self._baseline
 
-    def pack_relations(self, getter) -> RelationBatch:
-        """Pack ``getter(analysis)`` (a scalar Relation) per candidate."""
-        return RelationBatch.from_relations(
-            [getter(a) for a in self.analyses]
-        )
-
-    def pack_sets(self, getter) -> SetBatch:
-        """Pack ``getter(analysis)`` (an event set) per candidate."""
-        return SetBatch.from_sets(
-            [getter(a) for a in self.analyses], self.n
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = " baseline" if self._parent is not None else ""
         return f"<BatchContext{tag} of {self.batch}x n={self.n}>"
 
 
-_MISSING = object()
+def pack_relations(relations, n: int):
+    """The ``float32 [batch, n, n]`` stack of scalar relations."""
+    if n <= 64:
+        # One vectorized unpack: the packed rows fit uint64.
+        masks = _np.array(
+            [rel._rows for rel in relations], dtype=_np.uint64
+        ).reshape(len(relations), n)
+        shifts = _np.arange(n, dtype=_np.uint64)
+        bits = (masks[:, :, None] >> shifts) & _np.uint64(1)
+        return bits.astype(_np.float32)
+    data = _np.zeros((len(relations), n, n), _np.float32)
+    for b, rel in enumerate(relations):
+        for i, row in enumerate(rel._rows):
+            while row:
+                low = row & -row
+                data[b, i, low.bit_length() - 1] = 1.0
+                row ^= low
+    return data
 
 
-def evaluate_batch(node: Node, ctx: BatchContext, env=None):
-    """The batched value of ``node`` over every candidate in ``ctx``.
-
-    The exact shape of :func:`repro.ir.eval._eval`: closed nodes are
-    memoized by node id, txn-free nodes computed on a baseline context
-    store on (and compute against) the parent context, free fixpoint
-    variables resolve through ``env`` and are never memoized.
-    """
-    if node.free_vars:
-        if env is None:
-            raise ValueError(f"node {node!r} has free fixpoint variables")
-        return _compute(node, ctx, env)
-    target = ctx
-    if node.txn_free and ctx._parent is not None:
-        target = ctx._parent
-    memo = target._memo
-    node_id = node.id
-    hit = memo.get(node_id, _MISSING)
-    if hit is _MISSING:
-        hit = _compute(node, target, env)
-        memo[node_id] = hit
-    return hit
-
-
-def _compute(node: Node, ctx: BatchContext, env):
-    STATS.batch_computes += 1
-    shortcut = _SHORTCUTS.get(node.id)
-    if shortcut is not None:
-        if node.is_set:
-            return ctx.pack_sets(shortcut)
-        return ctx.pack_relations(shortcut)
-    return _DISPATCH[node.kind](node, ctx, env)
-
-
-def _c_base(node, ctx, env):
-    if node.token == "id":
-        return RelationBatch.identity(ctx.batch, ctx.n)
-    return ctx.pack_relations(_BASE_RELATION[node.token])
-
-
-def _c_set(node, ctx, env):
-    getter = _BASE_SET.get(node.token)
-    if getter is not None:
-        return ctx.pack_sets(getter)
-    label = _LABEL_FOR_SET[node.token]
-    return ctx.pack_sets(lambda a: a.labelled(label))
-
-
-def _c_union(node, ctx, env):
-    args = node.args
-    out = evaluate_batch(args[0], ctx, env)
-    for item in args[1:]:
-        out = out | evaluate_batch(item, ctx, env)
-    return out
-
-
-def _c_inter(node, ctx, env):
-    args = node.args
-    out = evaluate_batch(args[0], ctx, env)
-    for item in args[1:]:
-        out = out & evaluate_batch(item, ctx, env)
-    return out
-
-
-def _c_diff(node, ctx, env):
-    left, right = node.args
-    return evaluate_batch(left, ctx, env) - evaluate_batch(right, ctx, env)
-
-
-def _c_comp(node, ctx, env):
-    args = node.args
-    out = evaluate_batch(args[0], ctx, env)
-    for item in args[1:]:
-        out = out @ evaluate_batch(item, ctx, env)
-    return out
-
-
-def _stxn(ctx: BatchContext) -> RelationBatch:
-    """The packed ``stxn`` stack (memoized; used by the §3.3 liftings)."""
-    hit = ctx._memo.get("stxn")
-    if hit is None:
-        hit = ctx.pack_relations(lambda a: a.stxn)
-        ctx._memo["stxn"] = hit
-    return hit
-
-
-def _c_stronglift(node, ctx, env):
-    """``t? ; (r \\ t) ; t?`` (see :mod:`repro.core.lifting`)."""
-    rel = evaluate_batch(node.args[0], ctx, env)
-    txn = _stxn(ctx)
-    topt = txn.opt()
-    return topt @ (rel - txn) @ topt
-
-
-def _c_weaklift(node, ctx, env):
-    """``t ; (r \\ t) ; t``."""
-    rel = evaluate_batch(node.args[0], ctx, env)
-    txn = _stxn(ctx)
-    return txn @ (rel - txn) @ txn
-
-
-_DISPATCH = {
-    "base": _c_base,
-    "set": _c_set,
-    "empty": lambda node, ctx, env: RelationBatch.empty(ctx.batch, ctx.n),
-    "sempty": lambda node, ctx, env: SetBatch.empty(ctx.batch, ctx.n),
-    "var": lambda node, ctx, env: env[node.token],
-    "fix": lambda node, ctx, env: _eval_fix(node, ctx)[node.token],
-    "union": _c_union,
-    "sunion": _c_union,
-    "inter": _c_inter,
-    "sinter": _c_inter,
-    "diff": _c_diff,
-    "sdiff": _c_diff,
-    "compl": lambda node, ctx, env: evaluate_batch(
-        node.args[0], ctx, env
-    ).complement(),
-    "scompl": lambda node, ctx, env: evaluate_batch(
-        node.args[0], ctx, env
-    ).complement(),
-    "comp": _c_comp,
-    "inverse": lambda node, ctx, env: evaluate_batch(
-        node.args[0], ctx, env
-    ).inverse(),
-    "opt": lambda node, ctx, env: evaluate_batch(node.args[0], ctx, env).opt(),
-    "plus": lambda node, ctx, env: evaluate_batch(
-        node.args[0], ctx, env
-    ).plus(),
-    "star": lambda node, ctx, env: evaluate_batch(
-        node.args[0], ctx, env
-    ).star(),
-    "lift": lambda node, ctx, env: RelationBatch.lift_set(
-        evaluate_batch(node.args[0], ctx, env)
-    ),
-    "cross": lambda node, ctx, env: RelationBatch.cross_sets(
-        evaluate_batch(node.args[0], ctx, env),
-        evaluate_batch(node.args[1], ctx, env),
-    ),
-    "domain": lambda node, ctx, env: evaluate_batch(
-        node.args[0], ctx, env
-    ).domain(),
-    "range": lambda node, ctx, env: evaluate_batch(
-        node.args[0], ctx, env
-    ).codomain(),
-    "stronglift": _c_stronglift,
-    "weaklift": _c_weaklift,
-}
-
-
-def _eval_fix(node: Node, ctx: BatchContext):
-    """Simultaneous Kleene iteration over the whole stack, memoized once
-    per (bodies, batch) — the batched :func:`repro.ir.eval._eval_fix`."""
-    bodies = node.args
-    key = ("fix",) + tuple(b.id for b in bodies)
-    memo = ctx._memo
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    rels = tuple(
-        RelationBatch.empty(ctx.batch, ctx.n) for _ in bodies
-    )
-    max_steps = ctx.n * ctx.n * len(bodies) + 8
-    for _ in range(max_steps):
-        STATS.fix_iterations += 1
-        new = tuple(evaluate_batch(b, ctx, rels) for b in bodies)
-        if all(a.same_as(b) for a, b in zip(new, rels)):
-            memo[key] = rels
-            return rels
-        rels = new
-    raise RuntimeError(
-        f"batched IR fixpoint over {len(bodies)} bindings did not converge"
-    )
-
-
-def _check(kind: str, value) -> list:
-    """``kind`` applied batch-wide: one bool-ish flag per candidate."""
-    if kind == "acyclic":
-        return value.is_acyclic()
-    if kind == "irreflexive":
-        return value.is_irreflexive()
-    return value.is_empty()
-
-
-def _predicate_memo(node: Node, a: CandidateAnalysis):
-    """The scalar analysis whose ``_ir_memo`` owns this node's verdicts
-    (the same routing as :func:`repro.ir.eval.axiom_holds`)."""
-    if node.txn_free and a._parent is not None:
-        a = a._parent
-    return a._ir_memo
-
-
-def axiom_holds_batch(kind: str, node: Node, ctx: BatchContext) -> list[bool]:
-    """Memoized ``kind(node)`` over every candidate of ``ctx``.
-
-    Reads and writes the *scalar* per-candidate predicate memo: a chunk
-    whose verdicts were already decided (by another model sharing the
-    axiom, or by a scalar sweep) costs one dict lookup per candidate;
-    fresh chunks run the batched kernels once and leave per-candidate
-    verdicts behind for everyone else.
-    """
-    key = -(node.id * 4 + _KIND_CODE[kind])
-    memos = [_predicate_memo(node, a) for a in ctx.analyses]
-    cached = [memo.get(key) for memo in memos]
-    if all(hit is not None for hit in cached):
-        STATS.memo_hits += len(cached)
-        return cached
-    value = evaluate_batch(node, ctx, None)
-    flags = [bool(v) for v in _check(kind, value)]
-    for memo, flag in zip(memos, flags):
-        memo[key] = flag
-    return flags
+def pack_sets(sets, n: int):
+    """The ``float32 [batch, n]`` stack of event sets."""
+    data = _np.zeros((len(sets), n), _np.float32)
+    for b, events in enumerate(sets):
+        for e in events:
+            data[b, e] = 1.0
+    return data

@@ -1,202 +1,73 @@
-"""Generated straight-line kernels: one Python function per plan.
+"""Generated straight-line kernels: the batched evaluator.
 
-The interpreted :class:`~repro.ir.plan.BatchPlan` already collapses the
-IR walk into a flat step list, but still pays per-step Python overhead
-on every chunk: a loop iteration, txn-free routing, a memo probe, a
-memo store, and a kernel-closure call per node — measurable when the
-universe is small and the numpy kernels themselves are microseconds.
-This module lowers a plan once per ``(definition_token, universe size,
-backend)`` into *generated Python source*:
+:func:`compiled_for` lowers a :class:`~repro.ir.plan.BatchPlan` once
+per ``(definition_token, universe size)`` into *generated Python
+source*: one ``_consistent(ctx)`` function that checks a whole
+:class:`~repro.ir.batch.BatchContext` against the model.
 
+* every value is a ``float32`` 0/1 stack (see :mod:`repro.ir.batch`):
+  union is ``maximum``, intersection ``*``, difference ``a * (1 - b)``,
+  inverse an axis swap, composition a BLAS matmul reclamped by
+  ``minimum(·, 1)`` — exact, since counts are bounded by ``n``, far
+  under 2**24 — and ``[S]`` factors of a composition broadcast masks;
 * every hash-consed node value is bound to a local variable exactly
-  once — no memo dicts, no ``_fetch`` probes, no closure dispatch;
-* on the numpy backend the ops are emitted over the raw ``uint8``
-  arrays (``a | b``, ``a & (b ^ 1)``, a float32 BLAS matmul helper, an
-  axis swap for inverse, broadcast masks for the comp-lift peephole),
-  so interior nodes skip the :class:`RelationBatch` wrappers entirely;
-  the packed-int fallback emits the same schedule over the batch
-  objects;
-* fixpoints (``let rec``) are emitted as an *inline* Kleene loop: the
-  closed sub-DAG of the bodies is hoisted into ordinary pre-loop steps
-  and only the genuinely recursive part re-evaluates per iteration —
-  the interpreted tier instead re-enters the generic batch evaluator,
-  which re-derives closed subexpressions (some through per-candidate
-  scalar shortcuts) the plan steps had already produced.  Results are
-  probed from and stored to the same context memo key
-  :func:`repro.ir.batch._eval_fix` uses, so fixpoints stay shared with
-  the interpreter and across models;
-* axiom segments keep the plan's cheapest-first order, the shared
-  per-candidate predicate memos, the *deferred*-segment semantics for
-  memo-hit axioms, and the alive-mask early exit — verdicts are
-  bit-identical to the interpreted plan by construction;
-* leaves (base relations, base/labelled sets, ``stxn``) go through
-  tiny memoizing helpers against the context memo, so cross-model and
-  cross-sweep leaf sharing survives codegen.
+  once, with node ids, memo keys and predicate keys inlined as
+  literals — no dispatch, no per-step bookkeeping;
+* leaves and every node carrying a matmul (``comp``, closures, the
+  §3.3 liftings) publish to the context memo, shared *across models*:
+  the roster's common subexpressions compute once per stack however
+  many models sweep it;
+* closures use bounded squaring (``⌈log₂(n−1)⌉`` matmuls) with a
+  raw-bytes fixed-point early exit, and ``acyclic(r)`` is decided as
+  ``any(r & (r*)ᵀ)`` — one elementwise product instead of a second
+  matmul;
+* fixpoints (``let rec``) are an inline Kleene loop: the closed
+  sub-DAG of the bodies is hoisted into ordinary steps and only the
+  recursive part re-evaluates per iteration; the component tuple is
+  memoized under the scalar path's ``("fix", ...)`` key shape;
+* axiom segments keep the plan's cheapest-first order, read and write
+  the scalar per-candidate predicate memos (so scalar and batched
+  sweeps share verdicts both ways), *defer* segments whose verdicts
+  were all memo hits in case a later axiom needs their nodes, and stop
+  once every candidate is inconsistent.
 
-Sources are ``compile()``d once per process (keyed by token) and
-persisted under ``.repro-cache/codegen/`` keyed by ``(definition
-digest, n, backend, CODEGEN_VERSION)`` — a warm process skips
-generation, a version bump changes the filename so stale entries are
-never loaded.  ``REPRO_CODEGEN=0`` disables the tier; the interpreted
-plan stays behind it as the differential reference, exactly like
-:mod:`repro.ir.batch` is the reference for plans.
+Kernels are built on first use and kept per process.  A kernel that
+cannot be built is remembered as ``None``, counted in
+:attr:`repro.ir.eval.EvalStats.kernel_build_failures`, warned about
+once, and its stacks are checked on the scalar reference.  The module
+imports without numpy; kernels are only built with it.
 """
 
 from __future__ import annotations
 
-import os
-import pathlib
-import tempfile
+import warnings
 
-from ..core import relbatch as _relbatch
-from ..core.relbatch import RelationBatch, SetBatch
-from . import nodes as _nodes
 from . import plan as _plan
-from .batch import _check, _stxn
+from .batch import _np
 from .eval import STATS
 
-__all__ = [
-    "CODEGEN_VERSION",
-    "CompiledPlan",
-    "cache_path",
-    "compiled_for",
-    "enabled",
-    "generate_source",
-    "is_warm",
-    "reset",
-    "set_enabled",
-]
-
-#: Bumped whenever the emitted source shape (or anything it depends on
-#: for correctness) changes; part of the on-disk cache filename, so a
-#: bump regenerates and stale entries are unreachable by name.
-CODEGEN_VERSION = 1
-
-#: Explicit override (True/False) or None to follow ``REPRO_CODEGEN``.
-_FORCED: bool | None = None
-
-_DISABLED_VALUES = ("0", "false", "off", "no")
+__all__ = ["compiled_for", "generate_source", "is_warm", "reset"]
 
 
-def set_enabled(flag: bool | None) -> None:
-    """Force codegen on/off (``None`` restores the env-var default)."""
-    global _FORCED
-    _FORCED = flag
-
-
-def enabled() -> bool:
-    """Whether generated kernels are used (default: on)."""
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get("REPRO_CODEGEN", "1").lower() not in _DISABLED_VALUES
-
-
-# ----------------------------------------------------------------------
-# Runtime helpers injected into every generated module
-# ----------------------------------------------------------------------
-
-#: node id -> compiled leaf kernel closure (process-wide; leaf kernels
-#: are context-free and safe to share across plans and models).
-_LEAF_KERNELS: dict[int, object] = {}
-
-
-def _leaf_kernel(node):
-    kern = _LEAF_KERNELS.get(node.id)
-    if kern is None:
-        kern = _LEAF_KERNELS[node.id] = _plan._compile_kernel(node)
-    return kern
-
-
-#: ``(kind, token) -> Node`` — skips the interning constructor on the
-#: per-call leaf lookups generated code makes.
-_TOKEN_NODES: dict[tuple[str, str], object] = {}
-
-
-def _token_node(kind: str, token: str):
-    node = _TOKEN_NODES.get((kind, token))
-    if node is None:
-        maker = _nodes.base if kind == "base" else _nodes.bset
-        node = _TOKEN_NODES[(kind, token)] = maker(token)
-    return node
-
-
-def _base_value(tctx, token: str):
-    """Build-or-fetch a base relation against ``tctx``'s node memo —
-    the same storage the interpreted plan and the ad-hoc batch
-    evaluator use, so leaf values stay shared across models, sweeps,
-    and evaluation tiers."""
-    node = _token_node("base", token)
-    memo = tctx._memo
-    val = memo.get(node.id)
-    if val is None:
-        STATS.batch_computes += 1
-        val = _leaf_kernel(node)(tctx)
-        memo[node.id] = val
-    return val
-
-
-def _set_value(tctx, token: str):
-    """Build-or-fetch a base or labelled set (same sharing as above)."""
-    node = _token_node("set", token)
-    memo = tctx._memo
-    val = memo.get(node.id)
-    if val is None:
-        STATS.batch_computes += 1
-        val = _leaf_kernel(node)(tctx)
-        memo[node.id] = val
-    return val
-
-
-def _fix_key(node) -> tuple:
-    """The context-memo key :func:`repro.ir.batch._eval_fix` uses for
-    this fixpoint's component tuple (live node ids — process-specific,
-    which is why generated code takes the fix nodes as an argument)."""
-    return ("fix",) + tuple(b.id for b in node.args)
-
-
-def _cgdict(tctx) -> dict:
-    """The per-context float32 value store generated kernels share:
-    hash-consed node ids -> float32 stacks.  Separate from the uint8
-    batch values the interpreter memoizes under the same ids, so the
-    two tiers never see each other's representation."""
-    d = tctx._memo.get("cgf32")
-    if d is None:
-        d = tctx._memo["cgf32"] = {}
-    return d
-
-
-def _make_array_helpers(n: int):
-    """numpy-mode runtime: generated kernels hold every value as a
-    float32 0/1 stack.  The batch objects are uint8-packed, which costs
-    two ``astype`` conversions, a comparison, and a view around *every*
-    BLAS matmul; in float32 the matmul runs natively and a single
-    ``minimum(·, 1)`` reclamps, so the 0/1 invariant (and therefore
-    bit-identical verdicts) is preserved with exact arithmetic (counts
-    are bounded by n, far under 2**24).  Leaves are converted once per
-    context and cached in the context memo, shared across every model
-    swept over it."""
-    np = _relbatch._np
-    f32 = np.float32
-    u8 = np.uint8
-    wrap = _relbatch._NumpyRelationBatch
-
-    eye = _relbatch._eye(n).astype(f32)
+def _make_helpers(n: int) -> dict:
+    """The runtime namespace of a generated kernel at universe size n."""
+    f32 = _np.float32
+    eye = _np.eye(n, dtype=f32)
     # (r | I) ** m covers all paths of length <= m, and transitive
     # closure only needs simple paths (length <= n-1): squaring
-    # ceil(log2(n-1)) times reaches it with a fixed op count — no
-    # convergence test, no branches.
+    # ceil(log2(n-1)) times reaches it with a fixed op count.
     squarings = max(0, (n - 2).bit_length())
 
     def _mm(a, b):
         x = a @ b
-        np.minimum(x, 1.0, out=x)
+        _np.minimum(x, 1.0, out=x)
         return x
 
     def _tstar(a):
-        cur = np.maximum(a, eye)
+        cur = _np.maximum(a, eye)
         for _ in range(squarings):
             nxt = cur @ cur
-            np.minimum(nxt, 1.0, out=nxt)
+            _np.minimum(nxt, 1.0, out=nxt)
             # Monotone under squaring, and 0.0/1.0 have canonical bit
             # patterns: a raw-bytes compare is an exact fixed-point
             # test far cheaper than another matmul.
@@ -209,82 +80,35 @@ def _make_array_helpers(n: int):
         # r+ == r ; r*
         return _mm(a, _tstar(a))
 
-    def _basef(tctx, token):
-        node = _token_node("base", token)
-        d = _cgdict(tctx)
-        val = d.get(node.id)
-        if val is None:
-            val = d[node.id] = _base_value(tctx, token).data.astype(f32)
-        return val
-
-    def _setf(tctx, token):
-        node = _token_node("set", token)
-        d = _cgdict(tctx)
-        val = d.get(node.id)
-        if val is None:
-            val = d[node.id] = _set_value(tctx, token).data.astype(f32)
-        return val
-
-    def _stxnf(tctx):
-        memo = tctx._memo
-        val = memo.get("stxn_f32")
-        if val is None:
-            val = memo["stxn_f32"] = _stxn(tctx).data.astype(f32)
-        return val
-
-    def _fxprobe(tctx, key):
-        d = _cgdict(tctx)
-        hit = d.get(key)
-        if hit is not None:
-            return hit
-        raw = tctx._memo.get(key)
-        if raw is None:
-            return None
-        conv = tuple(r.data.astype(f32) for r in raw)
-        d[key] = conv
-        return conv
-
-    def _fxstore(tctx, key, comps):
-        # Stored both ways: float32 for other generated kernels, batch
-        # objects so the interpreter and the scalar-shared batch
-        # evaluator can reuse the result.
-        comps = tuple(comps)
-        _cgdict(tctx)[key] = comps
-        tctx._memo[key] = tuple(wrap(c.astype(u8), n) for c in comps)
-
-    return _mm, _tstar, _tplus, _basef, _setf, _stxnf, _fxprobe, _fxstore
-
-
-def _py_fxprobe(tctx, key):
-    return tctx._memo.get(key)
-
-
-def _py_fxstore(tctx, key, comps):
-    tctx._memo[key] = tuple(comps)
+    return {
+        "_STATS": STATS,
+        "_memo_row": _plan._memo_row,
+        "_base": _plan.base_value,
+        "_set": _plan.set_value,
+        "_np": _np,
+        "_f32": f32,
+        "_EYE": eye,
+        "_IDX": _np.arange(n),
+        "_mm": _mm,
+        "_tstar": _tstar,
+        "_tplus": _tplus,
+    }
 
 
 # ----------------------------------------------------------------------
 # Source generation
 # ----------------------------------------------------------------------
 
-#: Step kinds whose values come from a memoizing runtime helper (and
-#: therefore count their own STATS on a miss).
-_HELPER_KINDS = frozenset(("base", "set"))
+#: Step kinds whose values come from a memoizing leaf helper (which
+#: counts its own STATS and stores on a miss).
+_LEAF_KINDS = frozenset(("base", "set"))
 
-#: Step kinds whose float32 values numpy-mode kernels share across
-#: models through the per-context store: the leaves plus everything
-#: carrying a matmul.  Elementwise interiors are cheaper to recompute
-#: than to probe-and-store.
-_ARRAY_MEMO_KINDS = frozenset(
+#: Step kinds whose values are shared across models through the context
+#: memo: the leaves plus everything carrying a matmul.  Elementwise
+#: interiors are cheaper to recompute than to probe-and-store.
+_MEMO_KINDS = frozenset(
     ("base", "set", "comp", "plus", "star", "stronglift", "weaklift")
 )
-
-
-def _header(digest: str, n: int, backend: str) -> str:
-    return (
-        f"# repro-codegen v{CODEGEN_VERSION} digest={digest} n={n} "
-        f"backend={backend}"
-    )
 
 
 def _chunked(prefix: str, items: list[str], per_line: int = 10) -> list[str]:
@@ -299,363 +123,33 @@ def _closed_schedule(node, seen: set[int], out: list) -> None:
     the hoistable part of a fixpoint body.  Free-variable nodes are
     descended through (their closed children are hoisted) but never
     emitted; they re-evaluate inside the Kleene loop."""
-    if node.free_vars:
-        for a in node.args:
-            if node.kind == "comp" and a.kind == "lift":
-                _closed_schedule(a.args[0], seen, out)
-            else:
-                _closed_schedule(a, seen, out)
-        return
-    if node.id in seen:
-        return
-    seen.add(node.id)
+    if not node.free_vars:
+        if node.id in seen:
+            return
+        seen.add(node.id)
     if node.kind != "fix":
-        for a in node.args:
-            if node.kind == "comp" and a.kind == "lift":
-                _closed_schedule(a.args[0], seen, out)
-            else:
-                _closed_schedule(a, seen, out)
-    out.append(node)
+        for a in _plan.schedule_args(node):
+            _closed_schedule(a, seen, out)
+    if not node.free_vars:
+        out.append(node)
 
 
 def _iter_schedule(node, seen: set[int], out: list) -> None:
     """Post-order schedule of the free-variable nodes of a fixpoint
     body: the part that genuinely re-evaluates per Kleene iteration."""
-    if not node.free_vars or node.kind == "var":
-        return
-    if node.id in seen:
+    if not node.free_vars or node.kind == "var" or node.id in seen:
         return
     seen.add(node.id)
-    for a in node.args:
-        if node.kind == "comp" and a.kind == "lift":
-            _iter_schedule(a.args[0], seen, out)
-        else:
-            _iter_schedule(a, seen, out)
+    for a in _plan.schedule_args(node):
+        _iter_schedule(a, seen, out)
     out.append(node)
-
-
-class _Emitter:
-    """Stateful source emitter for one plan (see the module docstring
-    for the emission strategy)."""
-
-    def __init__(self, plan, n: int, backend: str) -> None:
-        self.plan = plan
-        self.n = n
-        self.array = backend == "numpy"
-        #: node id -> local variable name (hash-consed: bound once).
-        self.names: dict[int, str] = {}
-        #: fix nodes in emission order; runtime gets the same tuple.
-        self.fixes: list = []
-        #: nodes shared through the per-context float32 store, in
-        #: emission order; runtime binds their live ids as ``mids``.
-        self.memo_ids: list = []
-
-    # -- references -----------------------------------------------------
-
-    def _name(self, node) -> str:
-        name = f"v{len(self.names)}"
-        self.names[node.id] = name
-        return name
-
-    def ref(self, node) -> str:
-        return self.names[node.id]
-
-    # -- expressions ----------------------------------------------------
-
-    def _comp_expr(self, node, ref) -> str:
-        """The comp kernel's lift peephole, unrolled at generation
-        time: ``[S]`` factors become domain/range masks."""
-        array = self.array
-        parts = [
-            ("mask", a.args[0]) if a.kind == "lift" else ("rel", a)
-            for a in node.args
-        ]
-        out = None
-        masks: list[str] = []
-        for tag, sub in parts:
-            r = ref(sub)
-            if tag == "mask":
-                if out is None:
-                    masks.append(r)
-                elif array:
-                    out = f"({out}) * {r}[:, None, :]"
-                else:
-                    out = f"({out}).restrict_range({r})"
-            else:
-                val = r
-                for m in masks:
-                    if array:
-                        val = f"({val}) * {m}[:, :, None]"
-                    else:
-                        val = f"({val}).restrict_domain({m})"
-                masks = []
-                if out is None:
-                    out = val
-                elif array:
-                    out = f"_mm({out}, {val})"
-                else:
-                    out = f"({out}) @ ({val})"
-        if out is None:  # every factor was a lift: [A];[B] = [A & B]
-            m = masks[0]
-            for s in masks[1:]:
-                m = f"({m}) * {s}"
-            if array:
-                return f"_EYE * ({m})[:, :, None]"
-            return f"_RB.lift_set({m})"
-        return out
-
-    def emit_node(self, node, name, ref, body, indent) -> None:
-        """Append the line(s) computing ``node`` into local ``name``,
-        resolving argument references through ``ref``."""
-        kind = node.kind
-        array = self.array
-        n = self.n
-        c = "p" if node.txn_free else "ctx"
-
-        def put(expr: str) -> None:
-            body.append(f"{indent}{name} = {expr}")
-
-        if kind == "base":
-            put(f"_basef({c}, {node.token!r})" if array else f"_base({c}, {node.token!r})")
-            return
-        if kind == "set":
-            put(f"_setf({c}, {node.token!r})" if array else f"_bset({c}, {node.token!r})")
-            return
-        if kind == "fix":
-            self._emit_fix(node, name, body, indent)
-            return
-        if kind == "comp":
-            # Lift factors are domain/range masks (only their set child
-            # is scheduled), so comp resolves its own references.
-            put(self._comp_expr(node, ref))
-            return
-        args = node.args
-        a = [ref(arg) for arg in args]
-        if kind == "empty":
-            put(
-                f"_np.zeros((batch, {n}, {n}), _f32)"
-                if array
-                else f"_RB.empty(batch, {n})"
-            )
-            return
-        if kind == "sempty":
-            put(
-                f"_np.zeros((batch, {n}), _f32)"
-                if array
-                else f"_SB.empty(batch, {n})"
-            )
-            return
-        if kind in ("union", "sunion"):
-            if array:
-                out = a[0]
-                for r in a[1:]:
-                    out = f"_np.maximum({out}, {r})"
-                put(out)
-            else:
-                put(" | ".join(a))
-            return
-        if kind in ("inter", "sinter"):
-            put(" * ".join(a) if array else " & ".join(a))
-            return
-        if kind in ("diff", "sdiff"):
-            put(f"{a[0]} * (1.0 - {a[1]})" if array else f"{a[0]} - {a[1]}")
-            return
-        if kind in ("compl", "scompl"):
-            put(f"1.0 - {a[0]}" if array else f"({a[0]}).complement()")
-            return
-        if kind == "inverse":
-            put(f"{a[0]}.swapaxes(1, 2)" if array else f"({a[0]}).inverse()")
-            return
-        if kind == "opt":
-            put(f"_np.maximum({a[0]}, _EYE)" if array else f"({a[0]}).opt()")
-            return
-        if kind == "plus":
-            put(f"_tplus({a[0]})" if array else f"({a[0]}).plus()")
-            return
-        if kind == "star":
-            put(f"_tstar({a[0]})" if array else f"({a[0]}).star()")
-            return
-        if kind == "lift":
-            put(
-                f"_EYE * {a[0]}[:, :, None]"
-                if array
-                else f"_RB.lift_set({a[0]})"
-            )
-            return
-        if kind == "cross":
-            put(
-                f"{a[0]}[:, :, None] * {a[1]}[:, None, :]"
-                if array
-                else f"_RB.cross_sets({a[0]}, {a[1]})"
-            )
-            return
-        if kind == "domain":
-            put(
-                f"{a[0]}.any(2).astype(_f32)"
-                if array
-                else f"({a[0]}).domain()"
-            )
-            return
-        if kind == "range":
-            put(
-                f"{a[0]}.any(1).astype(_f32)"
-                if array
-                else f"({a[0]}).codomain()"
-            )
-            return
-        if kind in ("stronglift", "weaklift"):
-            # §3.3 liftings; the transaction order is context-memoized.
-            t, to = f"_t_{name}", f"_to_{name}"
-            if array:
-                body.append(f"{indent}{t} = _stxnf({c})")
-                inner = f"{a[0]} * (1.0 - {t})"
-                if kind == "stronglift":
-                    body.append(f"{indent}{to} = _np.maximum({t}, _EYE)")
-                    put(f"_mm(_mm({to}, {inner}), {to})")
-                else:
-                    put(f"_mm(_mm({t}, {inner}), {t})")
-            else:
-                body.append(f"{indent}{t} = _stxn({c})")
-                if kind == "stronglift":
-                    body.append(f"{indent}{to} = {t}.opt()")
-                    put(f"{to} @ (({a[0]}) - {t}) @ {to}")
-                else:
-                    put(f"{t} @ (({a[0]}) - {t}) @ {t}")
-            return
-        raise NotImplementedError(f"no codegen emission for kind {kind!r}")
-
-    # -- steps ----------------------------------------------------------
-
-    def emit_step(self, node, name, body) -> int:
-        """Emit one top-level step; returns how many computes the
-        *segment-level* STATS line should attribute to it (memoized and
-        helper-backed steps count themselves on a miss instead)."""
-        indent = "        "
-        if self.array and node.kind in _ARRAY_MEMO_KINDS:
-            mi = len(self.memo_ids)
-            self.memo_ids.append(node)
-            d = "_mp" if node.txn_free else "_mc"
-            body.append(f"{indent}{name} = {d}.get(mids[{mi}])")
-            body.append(f"{indent}if {name} is None:")
-            if node.kind in _HELPER_KINDS:
-                self.emit_node(node, name, self.ref, body, indent + "    ")
-            else:
-                body.append(f"{indent}    _STATS.batch_computes += 1")
-                self.emit_node(node, name, self.ref, body, indent + "    ")
-                body.append(f"{indent}    {d}[mids[{mi}]] = {name}")
-            return 0
-        self.emit_node(node, name, self.ref, body, indent)
-        return 0 if node.kind in _HELPER_KINDS or node.kind == "fix" else 1
-
-    # -- fixpoints ------------------------------------------------------
-
-    def _emit_fix(self, node, name, body, indent) -> None:
-        """An inline batched Kleene iteration (see the module
-        docstring).  Closed body subexpressions were hoisted into
-        ordinary steps by :meth:`segment_steps`; only the recursive
-        part re-emits per iteration."""
-        j = len(self.fixes)
-        self.fixes.append(node)
-        array = self.array
-        n = self.n
-        c = "p" if node.txn_free else "ctx"
-        bodies = node.args
-        comps = [f"_f{j}_{k}" for k in range(len(bodies))]
-        fresh = [f"_g{j}_{k}" for k in range(len(bodies))]
-        max_steps = n * n * len(bodies) + 8
-
-        def iter_ref(sub) -> str:
-            if sub.kind == "var":
-                return comps[sub.token]
-            if sub.free_vars:
-                return iter_names[sub.id]
-            return self.names[sub.id]
-
-        if node.free_vars:
-            # A fixpoint referencing an enclosing fixpoint's variables
-            # has no closed memo key; leave it to the interpreter.
-            raise NotImplementedError("codegen: free-variable fixpoint")
-        body.append(f"{indent}_k{j} = _fxkey(fixes[{j}])")
-        body.append(f"{indent}_h{j} = _fxprobe({c}, _k{j})")
-        body.append(f"{indent}if _h{j} is None:")
-        inner = indent + "    "
-        body.append(f"{inner}_STATS.batch_computes += 1")
-        empty = (
-            f"_np.zeros((batch, {n}, {n}), _f32)"
-            if array
-            else f"_RB.empty(batch, {n})"
-        )
-        for comp in comps:
-            body.append(f"{inner}{comp} = {empty}")
-        body.append(f"{inner}for _ in range({max_steps}):")
-        loop = inner + "    "
-        body.append(f"{loop}_STATS.fix_iterations += 1")
-        # Per-iteration temps: shared free-variable subexpressions are
-        # still computed once per iteration (hash-consed like the rest).
-        iter_names: dict[int, str] = {}
-        scheduled: list = []
-        seen: set[int] = set()
-        for b in bodies:
-            _iter_schedule(b, seen, scheduled)
-        for k, sub in enumerate(scheduled):
-            iter_names[sub.id] = tname = f"_t{j}_{k}"
-            self.emit_node(sub, tname, iter_ref, body, loop)
-        for k, b in enumerate(bodies):
-            body.append(f"{loop}{fresh[k]} = {iter_ref(b)}")
-        same = (
-            "{a}.tobytes() == {b}.tobytes()"
-            if array
-            else "({a}).same_as({b})"
-        )
-        cond = " and ".join(
-            same.format(a=g, b=f) for g, f in zip(fresh, comps)
-        )
-        body.append(f"{loop}if {cond}:")
-        body.append(f"{loop}    break")
-        for comp, g in zip(comps, fresh):
-            body.append(f"{loop}{comp} = {g}")
-        body.append(f"{inner}else:")
-        body.append(
-            f"{inner}    raise RuntimeError("
-            f"'batched IR fixpoint over {len(bodies)} bindings "
-            f"did not converge')"
-        )
-        body.append(
-            f"{inner}_fxstore({c}, _k{j}, ({', '.join(comps)},))"
-        )
-        body.append(f"{indent}else:")
-        body.append(
-            f"{indent}    ({', '.join(comps)},) = _h{j}"
-        )
-        body.append(f"{indent}{name} = {comps[node.token]}")
-
-    # -- segments -------------------------------------------------------
-
-    def predicate(self, kind: str, node) -> str:
-        var = self.names[node.id]
-        if not self.array:
-            return f"[bool(_f) for _f in _check({kind!r}, {var})]"
-        if kind == "acyclic":
-            # A cycle through i exists iff some edge i->k meets a
-            # closure path k->i: r & transpose(r*) — one elementwise
-            # product instead of the extra matmul diag(r @ r*) costs.
-            return (
-                f"(~({var} * _tstar({var}).swapaxes(1, 2))"
-                ".any((1, 2))).tolist()"
-            )
-        if kind == "irreflexive":
-            return f"(~{var}[:, _IDX, _IDX].any(1)).tolist()"
-        return f"(~{var}.any((1, 2))).tolist()"
 
 
 def _ordered_segment_steps(plan) -> list[list]:
     """Per-segment node lists in emission order: the plan's schedule
     with each fixpoint's closed body sub-DAG hoisted in front of it
     (recursively, so a closed inner fixpoint is hoisted before the
-    outer one), each node appearing exactly once across all segments.
-    Both source generation and the runtime ``fixes`` binding derive
-    from this single traversal, so a module loaded from disk binds the
-    same fixpoint tuple generation would have produced."""
+    outer one), each node appearing exactly once across all segments."""
     named: set[int] = set()
     ordered: list[list] = []
     for steps, _kind, _node, _key in plan.segments:
@@ -673,48 +167,219 @@ def _ordered_segment_steps(plan) -> list[list]:
             named.add(node.id)
             seg.append(node)
 
-        for node, _kernel in steps:
+        for node in steps:
             place(node)
         ordered.append(seg)
     return ordered
 
 
-def plan_fixes(plan) -> tuple:
-    """The closed fixpoint nodes of a plan in emission order."""
-    return tuple(
-        node
-        for seg in _ordered_segment_steps(plan)
-        for node in seg
-        if node.kind == "fix" and not node.free_vars
-    )
+class _Emitter:
+    """Stateful source emitter for one plan (see the module docstring
+    for the emission strategy)."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        #: node id -> local variable name (hash-consed: bound once).
+        self.names: dict[int, str] = {}
+        self.fixes = 0
+
+    def name(self, node) -> str:
+        name = f"v{len(self.names)}"
+        self.names[node.id] = name
+        return name
+
+    def ref(self, node) -> str:
+        return self.names[node.id]
+
+    # -- expressions ----------------------------------------------------
+
+    def _comp_expr(self, node, ref) -> str:
+        """The comp-lift peephole, unrolled at generation time: ``[S]``
+        factors become domain/range masks."""
+        out = None
+        masks: list[str] = []
+        for a in node.args:
+            if a.kind == "lift":
+                r = ref(a.args[0])
+                if out is None:
+                    masks.append(r)
+                else:
+                    out = f"({out}) * {r}[:, None, :]"
+                continue
+            val = ref(a)
+            for m in masks:
+                val = f"({val}) * {m}[:, :, None]"
+            masks = []
+            out = val if out is None else f"_mm({out}, {val})"
+        if out is None:  # every factor was a lift: [A];[B] = [A & B]
+            return f"_EYE * ({' * '.join(masks)})[:, :, None]"
+        return out
+
+    def emit_node(self, node, name, ref, body, indent) -> None:
+        """Append the line(s) computing ``node`` into local ``name``,
+        resolving argument references through ``ref``."""
+        kind = node.kind
+        n = self.n
+        c = "p" if node.txn_free else "ctx"
+
+        def put(expr: str) -> None:
+            body.append(f"{indent}{name} = {expr}")
+
+        if kind == "base":
+            return put(f"_base({c}, {node.token!r})")
+        if kind == "set":
+            return put(f"_set({c}, {node.token!r})")
+        if kind == "fix":
+            return self._emit_fix(node, name, body, indent)
+        if kind == "comp":
+            return put(self._comp_expr(node, ref))
+        a = [ref(arg) for arg in node.args]
+        if kind == "empty":
+            return put(f"_np.zeros((batch, {n}, {n}), _f32)")
+        if kind == "sempty":
+            return put(f"_np.zeros((batch, {n}), _f32)")
+        if kind in ("union", "sunion"):
+            out = a[0]
+            for r in a[1:]:
+                out = f"_np.maximum({out}, {r})"
+            return put(out)
+        if kind in ("inter", "sinter"):
+            return put(" * ".join(a))
+        if kind in ("diff", "sdiff"):
+            return put(f"{a[0]} * (1.0 - {a[1]})")
+        if kind in ("compl", "scompl"):
+            return put(f"1.0 - {a[0]}")
+        if kind == "inverse":
+            return put(f"{a[0]}.swapaxes(1, 2)")
+        if kind == "opt":
+            return put(f"_np.maximum({a[0]}, _EYE)")
+        if kind == "plus":
+            return put(f"_tplus({a[0]})")
+        if kind == "star":
+            return put(f"_tstar({a[0]})")
+        if kind == "lift":
+            return put(f"_EYE * {a[0]}[:, :, None]")
+        if kind == "cross":
+            return put(f"{a[0]}[:, :, None] * {a[1]}[:, None, :]")
+        if kind == "domain":
+            return put(f"{a[0]}.any(2).astype(_f32)")
+        if kind == "range":
+            return put(f"{a[0]}.any(1).astype(_f32)")
+        if kind in ("stronglift", "weaklift"):
+            # §3.3 liftings w.r.t. the (context-memoized) stxn leaf.
+            t, outer = f"_t_{name}", f"_to_{name}"
+            body.append(f"{indent}{t} = _base({c}, 'stxn')")
+            if kind == "stronglift":
+                body.append(f"{indent}{outer} = _np.maximum({t}, _EYE)")
+            else:
+                outer = t
+            inner = f"{a[0]} * (1.0 - {t})"
+            return put(f"_mm(_mm({outer}, {inner}), {outer})")
+        raise NotImplementedError(f"no codegen emission for kind {kind!r}")
+
+    # -- steps ----------------------------------------------------------
+
+    def emit_step(self, node, name, body) -> int:
+        """Emit one top-level step; returns how many computes the
+        *segment-level* STATS line should attribute to it (memoized,
+        leaf and fixpoint steps count themselves on a miss instead)."""
+        indent = "        "
+        if node.kind not in _MEMO_KINDS:
+            self.emit_node(node, name, self.ref, body, indent)
+            return 0 if node.kind == "fix" else 1
+        memo = "_mp" if node.txn_free else "_mc"
+        body.append(f"{indent}{name} = {memo}.get({node.id})")
+        body.append(f"{indent}if {name} is None:")
+        inner = indent + "    "
+        if node.kind not in _LEAF_KINDS:
+            body.append(f"{inner}_STATS.batch_computes += 1")
+        self.emit_node(node, name, self.ref, body, inner)
+        if node.kind not in _LEAF_KINDS:
+            body.append(f"{inner}{memo}[{node.id}] = {name}")
+        return 0
+
+    def _emit_fix(self, node, name, body, indent) -> None:
+        """An inline Kleene iteration (see the module docstring).
+        Closed body subexpressions were hoisted into ordinary steps by
+        :func:`_ordered_segment_steps`; only the recursive part
+        re-emits per iteration."""
+        j = self.fixes
+        self.fixes += 1
+        n = self.n
+        memo = "_mp" if node.txn_free else "_mc"
+        bodies = node.args
+        key = ("fix",) + tuple(b.id for b in bodies)
+        comps = [f"_f{j}_{k}" for k in range(len(bodies))]
+        fresh = [f"_g{j}_{k}" for k in range(len(bodies))]
+        iter_names: dict[int, str] = {}
+
+        def iter_ref(sub) -> str:
+            if sub.kind == "var":
+                return comps[sub.token]
+            if sub.free_vars:
+                return iter_names[sub.id]
+            return self.names[sub.id]
+
+        body.append(f"{indent}_h{j} = {memo}.get({key!r})")
+        body.append(f"{indent}if _h{j} is None:")
+        inner = indent + "    "
+        body.append(f"{inner}_STATS.batch_computes += 1")
+        for comp in comps:
+            body.append(f"{inner}{comp} = _np.zeros((batch, {n}, {n}), _f32)")
+        body.append(f"{inner}for _ in range({n * n * len(bodies) + 8}):")
+        loop = inner + "    "
+        body.append(f"{loop}_STATS.fix_iterations += 1")
+        # Shared free-variable subexpressions are still computed once
+        # per iteration (hash-consed like the rest).
+        scheduled: list = []
+        seen: set[int] = set()
+        for b in bodies:
+            _iter_schedule(b, seen, scheduled)
+        for k, sub in enumerate(scheduled):
+            iter_names[sub.id] = tname = f"_t{j}_{k}"
+            self.emit_node(sub, tname, iter_ref, body, loop)
+        for k, b in enumerate(bodies):
+            body.append(f"{loop}{fresh[k]} = {iter_ref(b)}")
+        same = " and ".join(
+            f"{g}.tobytes() == {f}.tobytes()" for g, f in zip(fresh, comps)
+        )
+        body.append(f"{loop}if {same}:")
+        body.append(f"{loop}    break")
+        for comp, g in zip(comps, fresh):
+            body.append(f"{loop}{comp} = {g}")
+        body.append(f"{inner}else:")
+        body.append(
+            f"{inner}    raise RuntimeError('batched IR fixpoint over "
+            f"{len(bodies)} bindings did not converge')"
+        )
+        body.append(f"{inner}_h{j} = {memo}[{key!r}] = ({', '.join(comps)},)")
+        body.append(f"{indent}{name} = _h{j}[{node.token}]")
+
+    def predicate(self, kind: str, node) -> str:
+        var = self.names[node.id]
+        if kind == "acyclic":
+            # A cycle through i exists iff some edge i->k meets a
+            # closure path k->i: r & transpose(r*).
+            return (
+                f"(~({var} * _tstar({var}).swapaxes(1, 2))"
+                ".any((1, 2))).tolist()"
+            )
+        if kind == "irreflexive":
+            return f"(~{var}[:, _IDX, _IDX].any(1)).tolist()"
+        return f"(~{var}.any((1, 2))).tolist()"
 
 
-def plan_memo_ids(plan) -> tuple:
-    """Live ids of the float32-store-shared nodes in emission order —
-    the ``mids`` binding for a numpy-mode kernel (and, like the fixes,
-    derived from the traversal so a disk-loaded source binds the ids
-    its index literals were generated against)."""
-    return tuple(
-        node.id
-        for seg in _ordered_segment_steps(plan)
-        for node in seg
-        if node.kind in _ARRAY_MEMO_KINDS
-    )
-
-
-def generate_source(plan, n: int, backend: str, token: str, digest: str) -> str:
-    """The generated module source for one plan (deterministic: names
-    follow the plan's structural schedule order, so the same definition
-    generates byte-identical source in every process)."""
-    em = _Emitter(plan, n, backend)
+def generate_source(plan, n: int) -> str:
+    """The generated module source for one plan at universe size n."""
+    em = _Emitter(n)
     seg_blocks: list[list[str]] = []
     ordered = _ordered_segment_steps(plan)
-    for si, (steps, kind, node, _key) in enumerate(plan.segments):
+    for si, (_steps, kind, node, key) in enumerate(plan.segments):
         body: list[str] = []
         assigned: list[str] = []
         interior = 0
         for step_node in ordered[si]:
-            name = em._name(step_node)
+            name = em.name(step_node)
             assigned.append(name)
             interior += em.emit_step(step_node, name, body)
         block = [f"    def _seg{si}():"]
@@ -723,8 +388,7 @@ def generate_source(plan, n: int, backend: str, token: str, digest: str) -> str:
             block.append(f"        _STATS.batch_computes += {interior}")
         block.extend(body if body else ["        pass"])
         block.append(f"    memos = _memo_row(ctx, {node.txn_free!r})")
-        block.append(f"    k = keys[{si}]")
-        block.append("    flags = [m.get(k) for m in memos]")
+        block.append(f"    flags = [m.get({key}) for m in memos]")
         block.append("    if None in flags:")
         block.append("        for _s in deferred:")
         block.append("            _s()")
@@ -732,7 +396,7 @@ def generate_source(plan, n: int, backend: str, token: str, digest: str) -> str:
         block.append(f"        _seg{si}()")
         block.append(f"        flags = {em.predicate(kind, node)}")
         block.append("        for m, _f in zip(memos, flags):")
-        block.append("            m[k] = _f")
+        block.append(f"            m[{key}] = _f")
         block.append("    else:")
         block.append("        _STATS.memo_hits += len(flags)")
         block.append(f"        deferred.append(_seg{si})")
@@ -742,19 +406,13 @@ def generate_source(plan, n: int, backend: str, token: str, digest: str) -> str:
         seg_blocks.append(block)
 
     lines = [
-        _header(digest, n, backend),
-        f"# token: {token}",
-        "# Generated by repro.ir.codegen — do not edit; regenerated on",
-        "# any CODEGEN_VERSION bump (the filename carries the version).",
-        "",
-        "def _consistent(ctx, keys, fixes, mids):",
+        "def _consistent(ctx):",
         "    p = ctx._parent or ctx",
         "    batch = ctx.batch",
+        "    _mp = p._memo",
+        "    _mc = ctx._memo",
     ]
-    if em.array:
-        lines.append("    _mp = _cg(p)")
-        lines.append("    _mc = _cg(ctx) if p is not ctx else _mp")
-    all_names = sorted(set(em.names.values()), key=lambda s: int(s[1:]))
+    all_names = sorted(em.names.values(), key=lambda s: int(s[1:]))
     for i in range(0, len(all_names), 10):
         lines.append("    " + " = ".join(all_names[i : i + 10]) + " = None")
     lines.append("    alive = [True] * batch")
@@ -767,173 +425,56 @@ def generate_source(plan, n: int, backend: str, token: str, digest: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Disk cache
-# ----------------------------------------------------------------------
-
-
-def _cache_root() -> pathlib.Path:
-    root = os.environ.get("REPRO_CODEGEN_DIR")
-    if root:
-        return pathlib.Path(root)
-    # Mirrors repro.engine.cache.default_cache_dir without importing the
-    # engine layer from the IR layer.
-    base = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
-    return pathlib.Path(base) / "codegen"
-
-
-def cache_path(digest: str, n: int, backend: str) -> pathlib.Path:
-    """Where one generated module persists (version in the name: a
-    CODEGEN_VERSION bump can never load a stale entry)."""
-    return _cache_root() / f"{digest}-n{n}-{backend}-v{CODEGEN_VERSION}.py"
-
-
-def _load_source(path: pathlib.Path, digest: str, n: int, backend: str):
-    """The persisted source, or None when absent/corrupt/mismatched."""
-    try:
-        source = path.read_text()
-    except OSError:
-        return None
-    head, _, _ = source.partition("\n")
-    if head != _header(digest, n, backend):
-        return None  # corrupt or written by a different emitter
-    return source
-
-
-def _store_source(path: pathlib.Path, source: str) -> None:
-    """Atomic best-effort persist: a read-only cache dir or a crashed
-    writer must never leave a half-written module to load later."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(source)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        pass
-
-
-# ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
 
-
-class CompiledPlan:
-    """A generated kernel plus its per-run bindings: the predicate-memo
-    keys, the fixpoint nodes, and the shared-store node ids — all live
-    (process-specific) values the source references by index."""
-
-    __slots__ = ("fn", "keys", "fixes", "mids")
-
-    def __init__(self, fn, keys: tuple, fixes: tuple, mids: tuple) -> None:
-        self.fn = fn
-        self.keys = keys
-        self.fixes = fixes
-        self.mids = mids
-
-    def consistent(self, ctx) -> list[bool]:
-        return self.fn(ctx, self.keys, self.fixes, self.mids)
-
-
-#: ``(definition_token, n, backend) -> CompiledPlan | None`` — None
-#: records a permanent build failure (fall back to the interpreter).
-_COMPILED: dict[tuple[str, int, str], "CompiledPlan | None"] = {}
+#: ``(definition_token, n) -> kernel | None`` — None records a build
+#: failure (those stacks are checked on the scalar path).
+_COMPILED: dict[tuple[str, int], object] = {}
 
 _MISSING = object()
 
 
-def _namespace(n: int, backend: str) -> dict:
-    ns = {
-        "_STATS": STATS,
-        "_memo_row": _plan._memo_row,
-        "_base": _base_value,
-        "_bset": _set_value,
-        "_stxn": _stxn,
-        "_fxkey": _fix_key,
-    }
-    if backend == "numpy":
-        np = _relbatch._np
-        mm, tstar, tplus, basef, setf, stxnf, fxprobe, fxstore = (
-            _make_array_helpers(n)
-        )
-        ns.update(
-            _np=np,
-            _f32=np.float32,
-            _EYE=_relbatch._eye(n).astype(np.float32),
-            _IDX=np.arange(n),
-            _cg=_cgdict,
-            _mm=mm,
-            _tstar=tstar,
-            _tplus=tplus,
-            _basef=basef,
-            _setf=setf,
-            _stxnf=stxnf,
-            _fxprobe=fxprobe,
-            _fxstore=fxstore,
-        )
-    else:
-        ns.update(
-            _RB=RelationBatch,
-            _SB=SetBatch,
-            _check=_check,
-            _fxprobe=_py_fxprobe,
-            _fxstore=_py_fxstore,
-        )
-    return ns
+def compiled_for(token: str, definition, n: int):
+    """The generated kernel for ``definition`` at universe size ``n``,
+    built on first use: a function from a :class:`BatchContext` to one
+    verdict per candidate.
 
-
-def compiled_for(token: str, definition, n: int) -> "CompiledPlan | None":
-    """The generated kernel for ``definition`` at universe size ``n``
-    on the active backend, building (or loading) it on first use.
-
-    Returns None when generation failed for this plan — the caller
-    falls back to the interpreted :class:`BatchPlan`, and the failure
-    is remembered so it is not retried per chunk.
+    Returns None without numpy, and when the build failed — counted in
+    ``STATS.kernel_build_failures``, warned about once per ``(token,
+    n)``, and remembered so it is not retried per stack.
     """
-    backend = _relbatch.active_backend()
-    key = (token, n, backend)
+    if _np is None:
+        return None
+    key = (token, n)
     hit = _COMPILED.get(key, _MISSING)
     if hit is not _MISSING:
         return hit
-    compiled = None
     try:
         plan = _plan.plan_for(token, definition, n)
-        digest = definition.digest
-        path = cache_path(digest, n, backend)
-        source = _load_source(path, digest, n, backend)
-        if source is None:
-            source = generate_source(plan, n, backend, token, digest)
-            _store_source(path, source)
-        ns = _namespace(n, backend)
-        exec(compile(source, str(path), "exec"), ns)
-        compiled = CompiledPlan(
-            ns["_consistent"],
-            keys=tuple(seg[3] for seg in plan.segments),
-            fixes=plan_fixes(plan),
-            mids=plan_memo_ids(plan) if backend == "numpy" else (),
+        source = generate_source(plan, n)
+        ns = _make_helpers(n)
+        exec(compile(source, f"<kernel {token} n={n}>", "exec"), ns)
+        kernel = ns["_consistent"]
+    except Exception as exc:
+        kernel = None
+        STATS.kernel_build_failures += 1
+        warnings.warn(
+            f"could not build the batched kernel for {token} at n={n} "
+            f"({exc!r}); checking those candidates on the scalar path",
+            RuntimeWarning,
+            stacklevel=2,
         )
-    except Exception:
-        compiled = None
-    _COMPILED[key] = compiled
-    return compiled
+    _COMPILED[key] = kernel
+    return kernel
 
 
 def is_warm(token: str, n: int) -> bool:
-    """Whether a generated kernel is already compiled for this plan on
-    the active backend — the signal :func:`repro.ir.plan.kernel_floor`
-    uses to drop the batch floor for warm plans."""
-    return bool(_COMPILED.get((token, n, _relbatch.active_backend())))
+    """Whether the kernel for this plan is already built — the signal
+    :func:`repro.ir.plan.kernel_floor` uses to lower the batch floor."""
+    return _COMPILED.get((token, n)) is not None
 
 
 def reset() -> None:
-    """Drop per-process compile state (tests)."""
+    """Drop per-process kernels (tests)."""
     _COMPILED.clear()
-    _LEAF_KERNELS.clear()

@@ -53,6 +53,7 @@ class EvalStats:
         "memo_hits",
         "batch_computes",
         "batch_candidates",
+        "kernel_build_failures",
     )
 
     def __init__(self) -> None:
@@ -64,8 +65,11 @@ class EvalStats:
         self.memo_hits = 0
         #: Batched node-kernel computations (one per (node, chunk)).
         self.batch_computes = 0
-        #: Candidates whose consistency ran through the batched plans.
+        #: Candidates whose consistency ran through the batched kernels.
         self.batch_candidates = 0
+        #: ``(definition_token, n)`` kernels that failed to build, whose
+        #: stacks therefore fell back to the scalar path.
+        self.kernel_build_failures = 0
 
 
 STATS = EvalStats()

@@ -1,151 +1,121 @@
-"""Compiled batch-evaluation plans: one kernel sequence per model.
+"""Batch plans: the schedule and leaf values behind the generated kernels.
 
-A campaign re-checks the same model over thousands of chunks; walking
-the IR DAG (dict dispatch, recursion, memo probes) per chunk is pure
-overhead once the shape is known.  :class:`BatchPlan` compiles a
-:class:`~repro.ir.model.IRDefinition` once per ``(definition_token,
-universe size)`` into a flat, topologically ordered, dead-node-pruned
-sequence of kernel closures:
+A campaign re-checks the same model over thousands of stacks; the
+shape of that work is fixed once the definition and universe size are.
+:class:`BatchPlan` records it once per ``(definition_token, universe
+size)``: a topologically ordered, dead-node-pruned node schedule that
+:mod:`repro.ir.codegen` lowers to a straight-line kernel.
 
 * axioms keep their planner (cheapest-first) order; each axiom owns the
-  *segment* of node steps not already produced by an earlier axiom
-  (dead nodes — anything not reachable from a checked axiom — are never
+  *segment* of nodes not already produced by an earlier axiom (dead
+  nodes — anything not reachable from a checked axiom — are never
   scheduled);
-* each step is a closure bound at compile time to its batched kernel
-  (:mod:`repro.core.relbatch` ops, shortcut packing, or the batched
-  fixpoint), so executing a chunk does no per-node dispatch;
-* verdicts short-circuit at batch granularity: after each axiom the
-  surviving-candidate mask is intersected, and evaluation stops once
-  every candidate in the chunk is already inconsistent;
-* per-candidate axiom verdicts are read from and written to the same
-  scalar predicate memo :func:`repro.ir.eval.axiom_holds` uses, so
-  chunks whose shared axioms were already decided (by another model or
-  a scalar sweep) skip their kernel segments entirely — the segment's
-  steps are *deferred*, not dropped, in case a later axiom needs their
-  nodes.
+* a ``[S]`` lift inside a composition schedules only its set: the
+  kernel applies it as a domain/range mask, not a matmul.
 
-:func:`consistent_batch` is the engine-facing entry: verdicts for a
-stack of same-universe executions under one model, with the scalar
-path's ``tm`` baseline handling and telemetry stages.
+This module also owns the batched *leaves* — base relations and event
+sets as ``float32`` stacks, memoized in the context under the leaf
+node's id so every model swept over one context shares them.
+Structural leaves (``po``, ``int``, ``loc``, kind and label sets) are
+broadcast from a dense per-stack event profile; ``fr`` is a handful of
+array operations over ``rf``/``co``/``loc``; the rest are packed from
+each candidate's scalar analysis (:func:`repro.ir.batch.
+pack_relations`).
+
+:func:`consistent_batch` and :func:`consistent_on` are the engine-facing
+entries: verdicts for a stack of same-universe executions under one
+model, with the scalar path's ``tm`` baseline handling, telemetry
+stages, and the scalar fallback for small stacks and unbuildable
+kernels.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from functools import reduce
 
-from ..core import relbatch as _relbatch
 from ..core.events import EventKind
-from ..core.relbatch import RelationBatch, SetBatch
 from ..obs import metrics as obs_metrics
 from ..obs import trace
-from .eval import (
-    _BASE_RELATION,
-    _BASE_SET,
-    _KIND_CODE,
-    _LABEL_FOR_SET,
-    STATS,
-)
-from .batch import BatchContext, _check, _eval_fix, _predicate_memo, _stxn
 from . import nodes as _nodes
+from .batch import BatchContext, _np, pack_relations, pack_sets
+from .eval import _BASE_RELATION, _BASE_SET, _KIND_CODE, _LABEL_FOR_SET, STATS
 from .nodes import Node
 
 __all__ = [
     "BatchPlan",
+    "base_value",
     "consistent_batch",
     "consistent_on",
     "kernel_floor",
     "plan_for",
+    "schedule_args",
+    "set_value",
 ]
 
-#: Below this stack size the per-call overhead of the batched kernels
-#: exceeds the scalar evaluator's cost (packed-int ops on small
-#: universes are fast; array construction is not), so ``consistent_on``
-#: falls back to per-candidate :meth:`MemoryModel.consistent` — which
-#: shares the same predicate memos, so verdicts are identical either
-#: way.  Tests pin this to 0 to force the kernels onto tiny stacks.
+#: Below this stack size building a kernel costs more than it saves
+#: (packed-int ops on small universes are fast; array construction is
+#: not), so ``consistent_on`` checks per candidate with
+#: :meth:`MemoryModel.consistent` — which shares the same predicate
+#: memos, so verdicts are identical either way.  Tests pin this to 1 to
+#: force the kernels onto tiny stacks.
 MIN_KERNEL_BATCH = 8
 
-#: The floor once a *generated* kernel is warm for the plan: building
-#: the straight-line function already happened, so all that remains per
-#: chunk is cheap array ops — worth it from two candidates up.  A batch
-#: of one still walks the scalar path (it shares the predicate memos).
+#: The floor once the generated kernel is built for the plan: what
+#: remains per stack is cheap array ops — worth it from two candidates
+#: up.  A batch of one still walks the scalar path.
 CODEGEN_KERNEL_BATCH = 2
 
 
 def kernel_floor(token: str | None = None, n: int | None = None) -> int:
-    """The effective minimum stack size for the batched kernels.
+    """The minimum stack size for the batched kernels.
 
-    ``REPRO_MIN_KERNEL_BATCH`` overrides everything; otherwise the
-    module default applies, except that a plan whose *generated* kernel
-    (:mod:`repro.ir.codegen`) is already compiled for ``(token, n)`` on
-    the active backend drops to :data:`CODEGEN_KERNEL_BATCH` — warm
-    small stacks were falling back to the scalar walk even though the
-    expensive part (compilation) was already paid.  Tests that pin
-    ``MIN_KERNEL_BATCH`` below the codegen floor keep their pin: the
-    warm-plan rule only ever lowers the floor.
+    :data:`MIN_KERNEL_BATCH` while the plan's kernel is cold;
+    :data:`CODEGEN_KERNEL_BATCH` once it is built for ``(token, n)``.
+    A test pin of ``MIN_KERNEL_BATCH`` below the warm floor is kept:
+    the warm rule only ever lowers the floor.
     """
-    raw = os.environ.get("REPRO_MIN_KERNEL_BATCH")
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
     floor = MIN_KERNEL_BATCH
     if floor > CODEGEN_KERNEL_BATCH and token is not None and n is not None:
-        from . import codegen
-
-        if codegen.enabled() and codegen.is_warm(token, n):
+        if codegen.is_warm(token, n):
             return CODEGEN_KERNEL_BATCH
     return floor
 
 
-def _fetch(ctx: BatchContext, node: Node):
-    """The node's value from the memo it routes to (txn-free values of a
-    baseline context live on the parent)."""
-    if node.txn_free and ctx._parent is not None:
-        return ctx._parent._memo[node.id]
-    return ctx._memo[node.id]
+# ----------------------------------------------------------------------
+# Leaves
+# ----------------------------------------------------------------------
 
-
-#: Memo key of the per-context dense event profile (numpy backend).
+#: Memo key of the per-context dense event profile.
 _PROFILE_KEY = "_event_profile"
 
-_READ = EventKind.READ
-_WRITE = EventKind.WRITE
-_FENCE = EventKind.FENCE
-_CALL = EventKind.CALL
-
-#: Base relations a profile turns into a couple of vectorized
-#: comparisons instead of a per-candidate pack.
-_STRUCTURAL_RELATIONS = frozenset(("po", "int", "loc"))
-
-#: Base sets read straight off the profile's kind flags.
-_FLAG_SETS = frozenset(("_", "R", "W", "F", "M", "CALL"))
+_KIND_FLAGS = {
+    EventKind.READ: "R",
+    EventKind.WRITE: "W",
+    EventKind.FENCE: "F",
+    EventKind.CALL: "CALL",
+}
 
 
 def _profile(tctx: BatchContext):
-    """Dense per-event attributes of the stack (numpy backend only).
+    """Dense per-event attributes of the stack.
 
     One Python pass over the events collects thread ids, program-order
     positions, location ids, kind flags and label flags as small
-    ``[batch, n]`` arrays; every structural base relation or set
-    afterwards is a broadcasted comparison over them — no per-candidate
-    scalar :class:`Relation` construction at all.  Transaction
-    structure is deliberately absent: everything here is txn-free, and
-    the txn-free routing means a baseline context never builds its own
-    profile.
+    ``[batch, n]`` arrays; every structural leaf afterwards is a
+    broadcasted comparison over them — no per-candidate scalar
+    :class:`Relation` construction at all.  Transaction structure is
+    deliberately absent: everything here is txn-free, and the txn-free
+    routing means a baseline context never builds its own profile.
     """
     prof = tctx._memo.get(_PROFILE_KEY)
     if prof is None:
-        np = _relbatch._np
         batch, n = tctx.batch, tctx.n
-        tid = np.zeros((batch, n), np.int16)
-        pos = np.zeros((batch, n), np.int16)
-        locid = np.full((batch, n), -1, np.int16)
-        kinds = {
-            k: np.zeros((batch, n), np.uint8) for k in ("R", "W", "F", "CALL")
+        tid = _np.zeros((batch, n), _np.int16)
+        pos = _np.zeros((batch, n), _np.int16)
+        locid = _np.full((batch, n), -1, _np.int16)
+        flags = {
+            k: _np.zeros((batch, n), _np.float32)
+            for k in ("R", "W", "F", "CALL")
         }
         labels: dict[str, object] = {}
         for b, a in enumerate(tctx.analyses):
@@ -156,294 +126,153 @@ def _profile(tctx: BatchContext):
                     pos[b, e] = p
             locs: dict = {}
             for e, event in enumerate(x.events):
-                kind = event.kind  # kinds are disjoint; skip 4 properties
-                if kind is _READ or kind is _WRITE:
-                    kinds["R" if kind is _READ else "W"][b, e] = 1
+                flag = _KIND_FLAGS.get(event.kind)
+                if flag is not None:
+                    flags[flag][b, e] = 1.0
+                if flag == "R" or flag == "W":
                     locid[b, e] = locs.setdefault(event.loc, len(locs))
-                elif kind is _FENCE:
-                    kinds["F"][b, e] = 1
-                elif kind is _CALL:
-                    kinds["CALL"][b, e] = 1
                 for lab in event.labels:
-                    flag = labels.get(lab)
-                    if flag is None:
-                        labels[lab] = flag = np.zeros((batch, n), np.uint8)
-                    flag[b, e] = 1
-        prof = (tid, pos, locid, kinds, labels)
+                    row = labels.get(lab)
+                    if row is None:
+                        labels[lab] = row = _np.zeros((batch, n), _np.float32)
+                    row[b, e] = 1.0
+        flags["M"] = flags["R"] + flags["W"]  # kinds are disjoint
+        flags["_"] = _np.ones((batch, n), _np.float32)
+        prof = (tid, pos, locid, flags, labels)
         tctx._memo[_PROFILE_KEY] = prof
     return prof
 
 
-def _structural_relation(tctx: BatchContext, token: str) -> RelationBatch:
+def _structural(tctx: BatchContext, token: str):
     """``po`` / ``int`` / ``loc`` as broadcasted profile comparisons,
     matching the scalar definitions bit for bit: ``po`` is same-thread
     strict program order, ``int`` (= ``sthd``) is reflexive same-thread,
     ``loc`` (= ``sloc``) is reflexive same-location over accesses."""
-    np = _relbatch._np
     tid, pos, locid, _, _ = _profile(tctx)
+    same_thread = tid[:, :, None] == tid[:, None, :]
     if token == "po":
-        data = (tid[:, :, None] == tid[:, None, :]) & (
-            pos[:, :, None] < pos[:, None, :]
-        )
+        data = same_thread & (pos[:, :, None] < pos[:, None, :])
     elif token == "int":
-        data = tid[:, :, None] == tid[:, None, :]
+        data = same_thread
     else:  # "loc"
         data = (locid[:, :, None] == locid[:, None, :]) & (
             locid[:, :, None] >= 0
         )
-    return RelationBatch.from_dense(data.view(np.uint8))
+    return data.astype(_np.float32)
 
 
-def _leaf_relation(tctx: BatchContext, token: str):
-    """Build-or-fetch the interned base-relation node for ``token``.
+def _fr(tctx: BatchContext):
+    """From-read, mirroring :attr:`Execution.fr` exactly:
+    ``([R]; sloc; [W]) \\ (rf⁻¹; (co⁻¹)*)`` — the lifts are masks, and
+    ``co`` is built transitively closed (per-location total orders), so
+    ``(co⁻¹)*`` is just ``(co⁻¹)?``."""
+    rf = base_value(tctx, "rf")
+    co = base_value(tctx, "co")
+    sloc = base_value(tctx, "loc")
+    reads = set_value(tctx, "R")
+    writes = set_value(tctx, "W")
+    eye = _np.eye(tctx.n, dtype=_np.float32)
+    overwritten = rf.swapaxes(1, 2) @ _np.maximum(co.swapaxes(1, 2), eye)
+    return (
+        sloc
+        * reads[:, :, None]
+        * writes[:, None, :]
+        * (overwritten == 0)
+    )
 
-    Stored under the node's id in ``tctx``'s memo, so a later scheduled
-    step (or another model's plan on the same context) reuses it.  Only
-    called for transaction-independent tokens, whose txn-free routing
-    matches the caller's (already-routed) ``tctx``.
+
+def _build_relation(tctx: BatchContext, token: str):
+    if token in ("po", "int", "loc"):
+        return _structural(tctx, token)
+    if token == "fr":
+        return _fr(tctx)
+    if token == "ext":  # ``full \ sthd``
+        return 1.0 - base_value(tctx, "int")
+    if token == "id":
+        eye = _np.eye(tctx.n, dtype=_np.float32)
+        return _np.broadcast_to(eye, (tctx.batch, tctx.n, tctx.n))
+    getter = _BASE_RELATION[token]
+    return pack_relations([getter(a) for a in tctx.analyses], tctx.n)
+
+
+def _build_set(tctx: BatchContext, token: str):
+    if token in _nodes.TXN_BASES:  # the profile is txn-free: pack these
+        getter = _BASE_SET[token]
+        return pack_sets([getter(a) for a in tctx.analyses], tctx.n)
+    _, _, _, flags, labels = _profile(tctx)
+    if token in flags:
+        return flags[token]
+    row = labels.get(_LABEL_FOR_SET[token])
+    if row is None:
+        return _np.zeros((tctx.batch, tctx.n), _np.float32)
+    return row
+
+
+def base_value(tctx: BatchContext, token: str):
+    """Build-or-fetch base relation ``token`` as a ``float32`` stack.
+
+    Stored under the interned leaf node's id in ``tctx``'s memo, so
+    every kernel swept over the context reuses it.  ``tctx`` is the
+    context the leaf routes to (the parent, for txn-free tokens of a
+    baseline context).
     """
-    node = _nodes.base(token)
+    node_id = _nodes.base(token).id
     memo = tctx._memo
-    val = memo.get(node.id)
+    val = memo.get(node_id)
     if val is None:
         STATS.batch_computes += 1
-        if (
-            token in _STRUCTURAL_RELATIONS
-            and _relbatch.active_backend() == "numpy"
-        ):
-            val = _structural_relation(tctx, token)
-        else:
-            val = tctx.pack_relations(_BASE_RELATION[token])
-        memo[node.id] = val
+        val = memo[node_id] = _build_relation(tctx, token)
     return val
 
 
-def _leaf_set(tctx: BatchContext, token: str):
-    """Build-or-fetch the interned base-set node for ``token``."""
-    node = _nodes.bset(token)
+def set_value(tctx: BatchContext, token: str):
+    """Build-or-fetch base or labelled event set ``token`` (same
+    sharing as :func:`base_value`)."""
+    node_id = _nodes.bset(token).id
     memo = tctx._memo
-    val = memo.get(node.id)
+    val = memo.get(node_id)
     if val is None:
         STATS.batch_computes += 1
-        if token in _FLAG_SETS and _relbatch.active_backend() == "numpy":
-            np = _relbatch._np
-            kinds = _profile(tctx)[3]
-            if token == "_":
-                data = np.ones((tctx.batch, tctx.n), np.uint8)
-            elif token == "M":
-                data = kinds["R"] | kinds["W"]
-            else:
-                data = kinds[token]
-            val = SetBatch.from_dense(data)
-        else:
-            val = tctx.pack_sets(_BASE_SET[token])
-        memo[node.id] = val
+        val = memo[node_id] = _build_set(tctx, token)
     return val
 
 
-def _labelled_set(tctx: BatchContext, node: Node, label: str):
-    """Build-or-fetch a label-defined set (fence flavours, modes, ...)
-    — a profile lookup on the numpy backend, a pack otherwise."""
-    memo = tctx._memo
-    val = memo.get(node.id)
-    if val is None:
-        STATS.batch_computes += 1
-        if _relbatch.active_backend() == "numpy":
-            flag = _profile(tctx)[4].get(label)
-            if flag is None:
-                val = SetBatch.empty(tctx.batch, tctx.n)
-            else:
-                val = SetBatch.from_dense(flag)
-        else:
-            val = tctx.pack_sets(lambda a: a.labelled(label))
-        memo[node.id] = val
-    return val
+# ----------------------------------------------------------------------
+# Schedule
+# ----------------------------------------------------------------------
 
 
-def _fr_kernel(tctx: BatchContext):
-    """Batched from-read, mirroring :attr:`Execution.fr` exactly:
-    ``([R]; sloc; [W]) \\ (rf⁻¹; (co⁻¹)*)`` — the lifts are domain/range
-    masks, so this is a handful of batch kernels instead of that scalar
-    expression per candidate."""
-    rf = _leaf_relation(tctx, "rf")
-    co = _leaf_relation(tctx, "co")
-    sloc = _leaf_relation(tctx, "loc")
-    reads = _leaf_set(tctx, "R")
-    writes = _leaf_set(tctx, "W")
-    # ``co`` is built transitively closed (per-location total orders),
-    # so ``(co⁻¹)*`` is just ``(co⁻¹)?``.
-    return sloc.restrict(reads, writes) - (rf.inverse() @ co.inverse().opt())
-
-
-def _compile_kernel(node: Node):
-    """A closure computing ``node`` from already-stored argument values.
-
-    ``tctx`` is the context the node computes against (after the
-    txn-free routing done by the segment runner), matching
-    :func:`repro.ir.batch.evaluate_batch`.
-
-    Unlike the scalar evaluator (and the ad-hoc batch evaluator), plans
-    do *not* take shortcuts (:data:`repro.ir.eval._SHORTCUTS`): a
-    shortcut packs the analysis's scalar cached property per candidate
-    — O(batch) scalar relation algebra — whereas descending into the
-    shortcut node's own DAG costs a handful of batched kernels shared
-    by the whole stack (and, via the node memo, by every model swept
-    over the same context).
-    """
-    kind = node.kind
-    args = node.args
-    if kind == "base":
-        token = node.token
-        if token == "id":
-            return lambda tctx: RelationBatch.identity(tctx.batch, tctx.n)
-        if token == "fr":
-            return _fr_kernel
-        if token == "ext":
-            # ``full \ sthd`` per candidate == batched complement of int.
-            return lambda tctx: _leaf_relation(tctx, "int").complement()
-        if token in _STRUCTURAL_RELATIONS:
-            return lambda tctx: _leaf_relation(tctx, token)
-        getter = _BASE_RELATION[token]
-        return lambda tctx: tctx.pack_relations(getter)
-    if kind == "set":
-        token = node.token
-        if token in _FLAG_SETS:
-            return lambda tctx: _leaf_set(tctx, token)
-        getter = _BASE_SET.get(token)
-        if getter is not None:
-            return lambda tctx: tctx.pack_sets(getter)
-        label = _LABEL_FOR_SET[token]
-        return lambda tctx: _labelled_set(tctx, node, label)
-    if kind == "empty":
-        return lambda tctx: RelationBatch.empty(tctx.batch, tctx.n)
-    if kind == "sempty":
-        return lambda tctx: SetBatch.empty(tctx.batch, tctx.n)
-    if kind == "fix":
-        index = node.token
-        return lambda tctx: _eval_fix(node, tctx)[index]
-    if kind in ("union", "sunion"):
-        return lambda tctx: reduce(
-            lambda x, y: x | y, (_fetch(tctx, a) for a in args)
-        )
-    if kind in ("inter", "sinter"):
-        return lambda tctx: reduce(
-            lambda x, y: x & y, (_fetch(tctx, a) for a in args)
-        )
-    if kind in ("diff", "sdiff"):
-        left, right = args
-        return lambda tctx: _fetch(tctx, left) - _fetch(tctx, right)
-    if kind in ("compl", "scompl"):
-        (arg,) = args
-        return lambda tctx: _fetch(tctx, arg).complement()
-    if kind == "comp":
-        # Peephole: a ``lift`` factor ``[S]`` is a domain/range mask on
-        # its neighbour, not a matmul — ``r;[S];q == (r & cols S) ; q``.
-        parts = [
-            ("mask", a.args[0]) if a.kind == "lift" else ("rel", a)
-            for a in args
-        ]
-        if all(tag == "rel" for tag, _ in parts):
-            return lambda tctx: reduce(
-                lambda x, y: x @ y, (_fetch(tctx, a) for a in args)
-            )
-
-        def comp(tctx):
-            out = None
-            masks = []  # leading [S] factors: domain masks for the
-            for tag, sub in parts:  # first real relation
-                if tag == "mask":
-                    s = _fetch(tctx, sub)
-                    if out is None:
-                        masks.append(s)
-                    else:
-                        out = out.restrict_range(s)
-                else:
-                    val = _fetch(tctx, sub)
-                    for s in masks:
-                        val = val.restrict_domain(s)
-                    masks = []
-                    out = val if out is None else out @ val
-            if out is None:  # every factor was a lift: [A];[B] = [A∩B]
-                out = masks[0]
-                for s in masks[1:]:
-                    out = out & s
-                return RelationBatch.lift_set(out)
-            return out
-
-        return comp
-    if kind == "inverse":
-        (arg,) = args
-        return lambda tctx: _fetch(tctx, arg).inverse()
-    if kind == "opt":
-        (arg,) = args
-        return lambda tctx: _fetch(tctx, arg).opt()
-    if kind == "plus":
-        (arg,) = args
-        return lambda tctx: _fetch(tctx, arg).plus()
-    if kind == "star":
-        (arg,) = args
-        return lambda tctx: _fetch(tctx, arg).star()
-    if kind == "lift":
-        (arg,) = args
-        return lambda tctx: RelationBatch.lift_set(_fetch(tctx, arg))
-    if kind == "cross":
-        left, right = args
-        return lambda tctx: RelationBatch.cross_sets(
-            _fetch(tctx, left), _fetch(tctx, right)
-        )
-    if kind == "domain":
-        (arg,) = args
-        return lambda tctx: _fetch(tctx, arg).domain()
-    if kind == "range":
-        (arg,) = args
-        return lambda tctx: _fetch(tctx, arg).codomain()
-    if kind == "stronglift":
-        (arg,) = args
-
-        def stronglift(tctx):
-            txn = _stxn(tctx)
-            topt = txn.opt()
-            return topt @ (_fetch(tctx, arg) - txn) @ topt
-
-        return stronglift
-    if kind == "weaklift":
-        (arg,) = args
-
-        def weaklift(tctx):
-            txn = _stxn(tctx)
-            return txn @ (_fetch(tctx, arg) - txn) @ txn
-
-        return weaklift
-    raise NotImplementedError(f"no batch kernel for node kind {kind!r}")
+def schedule_args(node: Node):
+    """``node``'s arguments as the kernels consume them: a comp's
+    ``[S]`` factors are replaced by their set, which the comp kernel
+    applies as a mask (the lift node itself is only scheduled if some
+    other parent needs its relation value)."""
+    if node.kind != "comp":
+        return node.args
+    return [a.args[0] if a.kind == "lift" else a for a in node.args]
 
 
 def _schedule(node: Node, seen: set[int], steps: list) -> None:
     """Post-order DFS over the closed sub-DAG: arguments before uses.
 
-    Fixpoint nodes are atomic steps (the batched Kleene iteration owns
-    their bodies); shortcut nodes are descended into — see
-    :func:`_compile_kernel`; free-variable nodes are reached only
-    inside fixpoint bodies.
+    Fixpoint nodes are atomic steps (the kernel's inline Kleene loop
+    owns their bodies); free-variable nodes are reached only inside
+    fixpoint bodies.
     """
     if node.id in seen or node.free_vars:
         return
     seen.add(node.id)
     if node.kind != "fix":
-        for arg in node.args:
-            if node.kind == "comp" and arg.kind == "lift":
-                # The comp kernel's lift peephole consumes the *set*;
-                # the lift node itself is only scheduled if some other
-                # parent needs its relation value.
-                _schedule(arg.args[0], seen, steps)
-            else:
-                _schedule(arg, seen, steps)
-    steps.append((node, _compile_kernel(node)))
+        for arg in schedule_args(node):
+            _schedule(arg, seen, steps)
+    steps.append(node)
 
 
 def _memo_row(ctx: BatchContext, txn_free: bool) -> list:
-    """The per-candidate predicate memos an axiom's verdicts route to
-    (:func:`repro.ir.batch._predicate_memo`), cached per context — every
-    model swept over the same context probes the same two rows."""
+    """The per-candidate scalar predicate memos an axiom's verdicts
+    route to (the routing of :func:`repro.ir.eval.axiom_holds`), cached
+    per context — every model swept over the same context probes the
+    same two rows."""
     key = "_pred_memos_tf" if txn_free else "_pred_memos"
     row = ctx._memo.get(key)
     if row is None:
@@ -458,20 +287,10 @@ def _memo_row(ctx: BatchContext, txn_free: bool) -> list:
     return row
 
 
-def _run_steps(steps, ctx: BatchContext) -> None:
-    parent = ctx._parent
-    for node, kernel in steps:
-        tctx = parent if (node.txn_free and parent is not None) else ctx
-        memo = tctx._memo
-        if node.id in memo:
-            continue
-        STATS.batch_computes += 1
-        memo[node.id] = kernel(tctx)
-
-
 class BatchPlan:
-    """The compiled kernel sequence for one definition at one universe
-    size (see the module docstring)."""
+    """The node schedule for one definition at one universe size (see
+    the module docstring).  ``segments`` holds one
+    ``(nodes, kind, axiom_node, predicate_memo_key)`` per axiom."""
 
     __slots__ = ("n", "segments")
 
@@ -486,31 +305,8 @@ class BatchPlan:
             segments.append((tuple(steps), ax.kind, ax.node, key))
         self.segments = tuple(segments)
 
-    def consistent(self, ctx: BatchContext) -> list[bool]:
-        """One consistency verdict per candidate of ``ctx``."""
-        alive = [True] * ctx.batch
-        deferred: list = []
-        for steps, kind, node, key in self.segments:
-            memos = _memo_row(ctx, node.txn_free)
-            flags = [memo.get(key) for memo in memos]
-            if None in flags:
-                for pending in deferred:
-                    _run_steps(pending, ctx)
-                deferred.clear()
-                _run_steps(steps, ctx)
-                flags = [bool(f) for f in _check(kind, _fetch(ctx, node))]
-                for memo, flag in zip(memos, flags):
-                    memo[key] = flag
-            else:
-                STATS.memo_hits += len(flags)
-                deferred.append(steps)
-            alive = [a and f for a, f in zip(alive, flags)]
-            if not any(alive):
-                break
-        return alive
 
-
-#: ``(definition_token, n) -> BatchPlan`` — compiled once per process.
+#: ``(definition_token, n) -> BatchPlan`` — built once per process.
 _PLANS: dict[tuple[str, int], BatchPlan] = {}
 
 
@@ -524,10 +320,14 @@ def plan_for(token: str, definition, n: int) -> BatchPlan:
     return plan
 
 
+# ----------------------------------------------------------------------
+# Entry points
+# ----------------------------------------------------------------------
+
+
 def consistent_batch(model, definition, executions) -> list[bool]:
     """Batched :meth:`MemoryModel.consistent` over same-universe
-    executions: the compiled plan, against the baseline stack when the
-    model runs with ``tm=False``."""
+    executions (see :func:`consistent_on`)."""
     if not executions:
         return []
     floor = kernel_floor(model.definition_token(), executions[0].n)
@@ -541,41 +341,44 @@ def consistent_on(model, definition, ctx: BatchContext) -> list[bool]:
 
     The campaign prefill (:mod:`repro.engine.batchsweep`) builds one
     :class:`BatchContext` per universe-size bucket and sweeps *every*
-    model's plan over it, so base-relation packing and hash-consed node
-    values are shared across models, not just across candidates.
-    ``ctx`` must be the unstripped stack — the ``tm`` baseline split is
-    applied here, as in the scalar :meth:`MemoryModel._analysis`.
+    model's kernel over it, so leaf packing and hash-consed node values
+    are shared across models, not just across candidates.  ``ctx`` must
+    be the unstripped stack — the ``tm`` baseline split is applied
+    here, as in the scalar :meth:`MemoryModel._analysis`.
 
-    The actual kernels come from the fastest available tier: the
-    generated straight-line function (:mod:`repro.ir.codegen`) when
-    enabled and buildable for this plan, else the interpreted
-    :class:`BatchPlan` — identical verdicts either way.
+    Stacks below :func:`kernel_floor`, hosts without numpy, and plans
+    whose kernel cannot be built are checked per candidate on the
+    scalar reference — identical verdicts either way.
     """
     token = model.definition_token()
-    if ctx.batch < kernel_floor(token, ctx.n):
+    kernel = None
+    if ctx.batch >= kernel_floor(token, ctx.n):
+        kernel = codegen.compiled_for(token, definition, ctx.n)
+    if kernel is None:
         return [bool(model.consistent(a)) for a in ctx.analyses]
     target = ctx if model.tm else ctx.baseline
-    runner = plan_for(token, definition, ctx.n)
-    from . import codegen
-
-    if codegen.enabled():
-        compiled = codegen.compiled_for(token, definition, ctx.n)
-        if compiled is not None:
-            runner = compiled
     STATS.batch_candidates += ctx.batch
     registry = obs_metrics.ACTIVE
     if trace.ACTIVE is None and registry is None:
-        return runner.consistent(target)
+        return kernel(target)
     start = time.perf_counter()
     if trace.ACTIVE is not None:
         with trace.stage("axioms"):
-            flags = runner.consistent(target)
+            flags = kernel(target)
         trace.count("batched_candidates", ctx.batch)
     else:
-        flags = runner.consistent(target)
+        flags = kernel(target)
     if registry is not None:
         registry.histogram("batch_size").observe(ctx.batch)
         registry.histogram("batch_kernel_seconds").observe(
             time.perf_counter() - start
         )
     return flags
+
+
+# The kernels live in codegen, which imports this module for the plans
+# and leaves; binding it last lets the import cycle resolve with both
+# modules complete.  Importing it with this module, rather than on first
+# use, also means forked pool workers inherit it instead of each
+# importing it again.
+from . import codegen  # noqa: E402

@@ -951,7 +951,7 @@ def _brute_force_exists(program, model, want) -> "bool | None":
 
     The enumeration stays the unpruned, unmemoized cross-product; only
     the per-candidate ``model.consistent`` calls are chunked through the
-    compiled plans (early-exiting between chunks), so the oracle still
+    batched kernels (early-exiting between chunks), so the oracle still
     shares nothing with the incremental search it cross-checks.
     """
     size = batch_size()
@@ -1087,8 +1087,8 @@ def _batched_consistent_stream(
 
     Candidates are buffered into per-universe-size chunks (one test's
     commit choices yield different event counts, and a batch shares one
-    bit-matrix shape) and each full chunk is checked with one compiled
-    plan sweep; the stream early-exits *between* chunks, so a consumer
+    bit-matrix shape) and each full chunk is checked with one batched
+    kernel sweep; the stream early-exits *between* chunks, so a consumer
     like :func:`observable` stops enumerating after the chunk containing
     its witness.  The coherence gate, the ``skip`` callback, and the
     bounded verdict memo behave exactly as in the scalar path; only the

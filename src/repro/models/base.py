@@ -200,7 +200,7 @@ class MemoryModel:
 
     def consistent_batch(self, executions) -> "list[bool] | None":
         """:meth:`consistent` over a stack of same-universe executions,
-        evaluated through the compiled batch plans; ``None`` when the
+        evaluated through the batched kernels; ``None`` when the
         model has no batchable definition."""
         definition = self.batch_definition()
         if definition is None:

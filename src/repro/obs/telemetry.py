@@ -87,6 +87,7 @@ def _ir_totals() -> dict[str, int]:
         "ir_memo_hits": STATS.memo_hits,
         "ir_batch_computes": STATS.batch_computes,
         "ir_batch_candidates": STATS.batch_candidates,
+        "ir_kernel_build_failures": STATS.kernel_build_failures,
     }
 
 

@@ -1,8 +1,7 @@
 """Structured span tracing for the checking pipeline.
 
-The tracer generalizes the old ``core.profiling.Profiler`` (which it
-replaces — that module is now a compatibility shim over this one) from
-four fixed stage timers into hierarchical *spans*:
+The tracer turns four fixed stage timers (``repro campaign
+--profile``) into hierarchical *spans*:
 
 * every span has a name, optional attributes (``item``, ``model``,
   ``token`` on the engine's per-cell spans), a wall-clock start, a total

@@ -15,14 +15,14 @@ A ``JobSpec``::
              | {"kind": "catalog", "names": null, "tags": null},
      "models": ["x86", "x86tm"],
      "options": {"cell_timeout": 60.0, "retries": 1, "shards": null,
-                 "batch": null, "codegen": null}}
+                 "batch": null}}
 
 ``batch`` overrides the candidate chunk size for the batched
-consistency kernels for this job (``0`` selects the scalar path),
-``codegen`` forces the generated-kernel tier on/off; ``null`` keeps the
-server's environment defaults.  Neither changes verdicts — the tiers
-are differentially tested bit-identical — so cached cells stay valid
-across jobs with different knobs.
+consistency kernels for this job (``0`` selects the scalar path);
+``null`` keeps the server's environment default.  It never changes
+verdicts — the batched kernels are differentially tested bit-identical
+to the scalar path — so cached cells stay valid across jobs with
+different settings.  Unknown options are ignored.
 
 Job lifecycle: ``queued`` → ``running`` → ``done`` | ``failed``.  A job
 *fails* only when its suite cannot be built (bad paths, bad model
@@ -69,7 +69,6 @@ class JobSpec:
     retries: int = 1
     shards: int | None = None
     batch: int | None = None
-    codegen: bool | None = None
     label: str = ""
 
     @classmethod
@@ -119,9 +118,6 @@ class JobSpec:
             raise SpecError("shards must be >= 1")
         if batch is not None and batch < 0:
             raise SpecError("batch must be >= 0")
-        codegen = options.get("codegen")
-        if codegen is not None and not isinstance(codegen, bool):
-            raise SpecError("codegen must be true, false, or null")
         label = str(data.get("label", "") or "")
         return cls(
             suite=dict(suite),
@@ -130,7 +126,6 @@ class JobSpec:
             retries=retries,
             shards=shards,
             batch=batch,
-            codegen=codegen,
             label=label,
         )
 
@@ -143,7 +138,6 @@ class JobSpec:
                 "retries": self.retries,
                 "shards": self.shards,
                 "batch": self.batch,
-                "codegen": self.codegen,
             },
             "label": self.label,
         }

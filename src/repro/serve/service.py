@@ -72,14 +72,6 @@ def _effective_batch(spec: JobSpec) -> int:
     return batch_size()
 
 
-def _effective_codegen(spec: JobSpec) -> bool:
-    if spec.codegen is not None:
-        return spec.codegen
-    from ..ir import codegen
-
-    return codegen.enabled()
-
-
 class Job:
     """One submitted suite × model matrix and its streaming results.
 
@@ -389,20 +381,17 @@ class CampaignService:
             for name, models in pending.items()
         ]
 
-        # Per-job evaluation knobs: the overrides are process globals
-        # (workers fork at dispatch time and inherit them), applied for
-        # exactly this job's span — jobs are executed one at a time, so
-        # there is no cross-job bleed.  The knobs pick an evaluation
-        # tier, never a verdict: the tiers are differentially tested
+        # The per-job batch size is a process global (workers fork at
+        # dispatch time and inherit it), applied for exactly this job's
+        # span — jobs are executed one at a time, so there is no
+        # cross-job bleed.  It picks an evaluation path, never a
+        # verdict: batched and scalar are differentially tested
         # bit-identical, so cached cells stay valid either way.
-        from ..ir import codegen
         from ..litmus.candidates import set_batch_size
 
         try:
             if spec.batch is not None:
                 set_batch_size(spec.batch)
-            if spec.codegen is not None:
-                codegen.set_enabled(spec.codegen)
             if self.jobs == 1:
                 self._run_serial(job, units, keys, caching)
             else:
@@ -410,8 +399,6 @@ class CampaignService:
         finally:
             if spec.batch is not None:
                 set_batch_size(None)
-            if spec.codegen is not None:
-                codegen.set_enabled(None)
 
         self._finish(job, items, spec.models)
 
@@ -571,10 +558,9 @@ class CampaignService:
                 extra={
                     "job": job.id,
                     "poisoned": job.poisoned_cells,
-                    # The effective evaluation knobs, so a manifest
-                    # records which tier produced its timings.
+                    # The effective batch size, so a manifest records
+                    # which path produced its timings.
                     "batch": _effective_batch(job.spec),
-                    "codegen": _effective_codegen(job.spec),
                 },
             )
             manifest_path = str(

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core import profiling
 from repro.core.analysis import CandidateAnalysis, analyze
 from repro.core.builder import ExecutionBuilder
 from repro.core.events import Label
 from repro.core.lifting import stronglift, weaklift
 from repro.core.relation import Relation
 from repro.models.registry import get_model, model_names
+from repro.obs import telemetry, trace
 
 
 def txn_execution():
@@ -208,23 +208,23 @@ class TestModelEntryPoints:
 
 class TestProfiling:
     def test_stage_accounting_is_self_time(self):
-        prof = profiling.enable()
+        prof = telemetry.enable().tracer
         try:
-            with profiling.stage("axioms"):
-                with profiling.stage("analysis"):
+            with trace.stage("axioms"):
+                with trace.stage("analysis"):
                     pass
         finally:
-            profiling.disable()
+            telemetry.disable()
         assert set(prof.seconds) == {"axioms", "analysis"}
         assert prof.calls == {"axioms": 1, "analysis": 1}
         report = prof.report()
         assert "axioms" in report and "analysis" in report
 
     def test_disabled_profiling_is_a_noop(self):
-        assert profiling.ACTIVE is None
-        with profiling.stage("whatever"):
+        assert trace.ACTIVE is None
+        with trace.stage("whatever"):
             pass
-        profiling.count("whatever")
+        trace.count("whatever")
 
     def test_campaign_profile_records_pipeline_stages(self):
         from repro.engine import diy_suite, run_campaign
@@ -232,11 +232,11 @@ class TestProfiling:
 
         expand_program.cache_clear()
         _expand_test.cache_clear()
-        prof = profiling.enable()
+        prof = telemetry.enable().tracer
         try:
             run_campaign(diy_suite("x86", max_length=2), ["x86", "sc"])
         finally:
-            profiling.disable()
+            telemetry.disable()
         assert "expansion" in prof.seconds
         assert "axioms" in prof.seconds
         assert prof.counters.get("candidates", 0) > 0

@@ -1,29 +1,32 @@
-"""Differential suite for the batched relation kernels.
+"""Two-way differential suite: batched kernels vs the scalar reference.
 
-Four layers, each pinning batched evaluation to the scalar reference:
+The batched evaluator (:mod:`repro.ir.codegen`'s generated ``float32``
+kernels) must be *bit-identical* to the scalar reference
+(:mod:`repro.ir.eval`): any mismatch here is a kernel bug, never an
+acceptable approximation.  The layers:
 
-* **Algebra** — :class:`repro.core.relbatch.RelationBatch` /
-  :class:`SetBatch` operations against per-element scalar
-  :class:`repro.core.relation.Relation` results, on *both* backends
-  (numpy dense and the pure-Python packed fallback), including a
-  universe above 64 events to exercise the non-vectorized unpack path;
-* **Golden catalog** — compiled plans (:func:`repro.ir.plan.
-  consistent_batch`, kernels forced on) over the whole curated catalog
-  against the pinned ``tests/golden_verdicts.json`` scalar matrix, for
-  every native model and for ``.cat`` models with ``let rec``
-  fixpoints;
-* **Corpus matrix** — a batched campaign over the full committed
-  litmus corpus (every dialect, ``exists`` and ``forall`` alike)
-  against a scalar campaign over the same files, cell for cell;
-* **Fuzz stream** — a seeded generator suite (reproducible via
-  ``REPRO_TEST_SEED``) swept batched vs scalar.
+* **Packers** — :func:`repro.ir.batch.pack_relations` /
+  :func:`~repro.ir.batch.pack_sets` against scalar ``Relation`` rows
+  and event sets, including a universe past 64 events (the per-bit
+  unpack);
+* **Node kinds** — one single-axiom definition per node kind the
+  emitter lowers, under every predicate, generated vs scalar over the
+  catalog executions (transactional and baseline views);
+* **Golden catalog** — every native model plus ``cat:power`` /
+  ``cat:armv8`` (``let rec`` fixpoints) over the whole catalog;
+* **Corpus matrix** and **fuzz stream** — batched vs scalar campaigns
+  over the full committed corpus and a seeded generator suite
+  (reproducible via ``REPRO_TEST_SEED``);
+* the kernel floor, the build-failure fallback, batch-aware shard
+  assembly, and a ``jobs=2`` campaign.
 
-The batched path must be *bit-identical* to the scalar one: any
-mismatch here is a kernel bug, never an acceptable approximation.
+Tests that build kernels skip without numpy (or under
+``REPRO_NO_NUMPY=1``), where every check runs on the scalar path.
 """
 
 import pathlib
 import random
+import warnings
 
 import pytest
 
@@ -32,192 +35,28 @@ from repro.cat.model import load_cat_model
 from repro.conformance.generators import generate_suite
 from repro.conformance.golden import load_snapshot
 from repro.conformance.seeds import derive_seed, reproducible_seed
+from repro.core.analysis import analyze
 from repro.core.execution import Execution
 from repro.core.relation import Relation
-from repro.core.relbatch import (
-    HAVE_NUMPY,
-    RelationBatch,
-    SetBatch,
-    active_backend,
-    set_backend,
-)
+from repro.engine.batchsweep import assemble_shards, run_shard
 from repro.engine.campaign import litmus_suite, run_campaign
+from repro.ir import nodes as N
+from repro.ir.batch import HAVE_NUMPY, BatchContext, pack_relations, pack_sets
+from repro.ir.eval import STATS, axiom_holds, evaluate
+from repro.ir.model import IRAxiom, IRDefinition
 from repro.litmus.candidates import _expand_test, expand_program, set_batch_size
 from repro.models.registry import MODELS, get_model
+from repro.obs import telemetry
+import repro.ir.codegen as codegen
 import repro.ir.plan as plan
 
 _SEED = reproducible_seed()
 CORPUS = pathlib.Path(__file__).resolve().parent / "corpus"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_verdicts.json"
 
-BACKENDS = ("python", "numpy") if HAVE_NUMPY else ("python",)
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    set_backend(request.param)
-    try:
-        yield request.param
-    finally:
-        set_backend(None)
-
-
-def _random_relation(rng: random.Random, n: int, density: float) -> Relation:
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if rng.random() < density
-    ]
-    return Relation.from_pairs(n, pairs)
-
-
-def _random_set(rng: random.Random, n: int, density: float = 0.4):
-    return frozenset(i for i in range(n) if rng.random() < density)
-
-
-def _stacks(stream: str, n: int, batch: int = 6):
-    """Deterministic test stacks: relations ``r, s`` and sets ``a, b``."""
-    rng = random.Random(derive_seed(_SEED, f"{stream}-{n}"))
-    rs = [_random_relation(rng, n, rng.uniform(0.05, 0.5)) for _ in range(batch)]
-    ss = [_random_relation(rng, n, rng.uniform(0.05, 0.5)) for _ in range(batch)]
-    sa = [_random_set(rng, n) for _ in range(batch)]
-    sb = [_random_set(rng, n) for _ in range(batch)]
-    return rs, ss, sa, sb
-
-
-#: Universe sizes: tiny, catalog-typical, and one past the 64-bit packed
-#: row (exercises the per-bit unpack path in ``from_relations``).
-SIZES = (1, 3, 7, 66)
-
-
-class TestBatchAlgebra:
-    """Every RelationBatch/SetBatch operation against the scalar
-    Relation algebra, element by element, on the active backend."""
-
-    def test_roundtrip(self, backend):
-        for n in SIZES:
-            rs, _, sa, _ = _stacks("roundtrip", n)
-            assert RelationBatch.from_relations(rs).to_relations() == rs
-            assert SetBatch.from_sets(sa, n).to_sets() == sa
-
-    def test_constructors(self, backend):
-        for n in SIZES:
-            assert RelationBatch.empty(3, n).to_relations() == [
-                Relation.empty(n)
-            ] * 3
-            assert RelationBatch.identity(3, n).to_relations() == [
-                Relation.identity(n)
-            ] * 3
-            assert RelationBatch.full(3, n).to_relations() == [
-                Relation.full(n)
-            ] * 3
-            assert SetBatch.full(3, n).to_sets() == [frozenset(range(n))] * 3
-            assert SetBatch.empty(3, n).to_sets() == [frozenset()] * 3
-
-    def test_binary_relation_ops(self, backend):
-        for n in SIZES:
-            rs, ss, _, _ = _stacks("binary", n)
-            br, bs = RelationBatch.from_relations(rs), RelationBatch.from_relations(ss)
-            assert (br | bs).to_relations() == [r | s for r, s in zip(rs, ss)]
-            assert (br & bs).to_relations() == [r & s for r, s in zip(rs, ss)]
-            assert (br - bs).to_relations() == [r - s for r, s in zip(rs, ss)]
-            assert (br @ bs).to_relations() == [r @ s for r, s in zip(rs, ss)]
-
-    def test_unary_relation_ops(self, backend):
-        for n in SIZES:
-            rs, _, _, _ = _stacks("unary", n)
-            br = RelationBatch.from_relations(rs)
-            assert br.complement().to_relations() == [r.complement() for r in rs]
-            assert br.inverse().to_relations() == [r.inverse() for r in rs]
-            assert br.opt().to_relations() == [r.opt() for r in rs]
-            assert br.plus().to_relations() == [r.plus() for r in rs]
-            assert br.star().to_relations() == [r.star() for r in rs]
-            assert br.remove_diagonal().to_relations() == [
-                r.remove_diagonal() for r in rs
-            ]
-
-    def test_restrictions_and_lifts(self, backend):
-        for n in SIZES:
-            rs, _, sa, sb = _stacks("restrict", n)
-            br = RelationBatch.from_relations(rs)
-            ba, bb = SetBatch.from_sets(sa, n), SetBatch.from_sets(sb, n)
-            assert br.restrict(ba, bb).to_relations() == [
-                r.restrict(a, b) for r, a, b in zip(rs, sa, sb)
-            ]
-            # restrict_domain/range are the comp-lift peephole kernels:
-            # they must equal the lift-then-compose they replace.
-            assert br.restrict_domain(ba).to_relations() == [
-                Relation.lift(n, a) @ r for r, a in zip(rs, sa)
-            ]
-            assert br.restrict_range(bb).to_relations() == [
-                r @ Relation.lift(n, b) for r, b in zip(rs, sb)
-            ]
-            assert RelationBatch.lift_set(ba).to_relations() == [
-                Relation.lift(n, a) for a in sa
-            ]
-            assert RelationBatch.cross_sets(ba, bb).to_relations() == [
-                Relation.cross(n, a, b) for a, b in zip(sa, sb)
-            ]
-
-    def test_domain_codomain(self, backend):
-        for n in SIZES:
-            rs, _, _, _ = _stacks("domain", n)
-            br = RelationBatch.from_relations(rs)
-            assert br.domain().to_sets() == [r.domain() for r in rs]
-            assert br.codomain().to_sets() == [r.codomain() for r in rs]
-
-    def test_predicates(self, backend):
-        for n in SIZES:
-            rs, _, _, _ = _stacks("pred", n)
-            # Mix in edge cases that random stacks rarely produce.
-            rs = rs + [Relation.empty(n), Relation.identity(n)]
-            br = RelationBatch.from_relations(rs)
-            assert list(map(bool, br.is_empty())) == [r.is_empty() for r in rs]
-            assert list(map(bool, br.is_irreflexive())) == [
-                r.is_irreflexive() for r in rs
-            ]
-            assert list(map(bool, br.is_acyclic())) == [
-                r.is_acyclic() for r in rs
-            ]
-            assert br.same_as(RelationBatch.from_relations(rs))
-            assert not br.same_as(br.complement())
-
-    def test_set_ops(self, backend):
-        for n in SIZES:
-            _, _, sa, sb = _stacks("sets", n)
-            ba, bb = SetBatch.from_sets(sa, n), SetBatch.from_sets(sb, n)
-            universe = frozenset(range(n))
-            assert (ba | bb).to_sets() == [a | b for a, b in zip(sa, sb)]
-            assert (ba & bb).to_sets() == [a & b for a, b in zip(sa, sb)]
-            assert (ba - bb).to_sets() == [a - b for a, b in zip(sa, sb)]
-            assert ba.complement().to_sets() == [universe - a for a in sa]
-            assert list(map(bool, ba.is_empty())) == [not a for a in sa]
-            assert ba.same_as(SetBatch.from_sets(sa, n))
-
-    def test_from_dense_requires_numpy(self, backend):
-        if backend == "numpy":
-            import numpy as np
-
-            rel = RelationBatch.from_dense(np.eye(4, dtype=np.uint8)[None])
-            assert rel.to_relations() == [Relation.identity(4)]
-            events = SetBatch.from_dense(np.ones((2, 4), dtype=np.uint8))
-            assert events.to_sets() == [frozenset(range(4))] * 2
-        else:
-            with pytest.raises(RuntimeError):
-                RelationBatch.from_dense(None)
-            with pytest.raises(RuntimeError):
-                SetBatch.from_dense(None)
-
-    def test_backend_selection(self):
-        assert active_backend() in ("python", "numpy")
-        with pytest.raises(ValueError):
-            set_backend("fortran")
-
-
-# ----------------------------------------------------------------------
-# Compiled plans vs the scalar reference
-# ----------------------------------------------------------------------
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="batched kernels need numpy"
+)
 
 
 def _fresh(x: Execution) -> Execution:
@@ -227,14 +66,6 @@ def _fresh(x: Execution) -> Execution:
     return Execution(
         x.events, x.threads, x.rf, x.co, x.addr, x.data, x.ctrl, x.rmw, x.txns
     )
-
-
-@pytest.fixture
-def forced_kernels(monkeypatch):
-    """Force every stack through the compiled kernels, however small —
-    without this the differential would silently compare scalar against
-    scalar below ``MIN_KERNEL_BATCH``."""
-    monkeypatch.setattr(plan, "MIN_KERNEL_BATCH", 1)
 
 
 def _catalog_stacks():
@@ -247,9 +78,185 @@ def _catalog_stacks():
     return buckets
 
 
+@pytest.fixture
+def forced_kernels(monkeypatch):
+    """Force every stack through the kernels, however small — without
+    this the differential would silently compare scalar against scalar
+    below ``MIN_KERNEL_BATCH``."""
+    monkeypatch.setattr(plan, "MIN_KERNEL_BATCH", 1)
+
+
+@pytest.fixture
+def cold_kernels():
+    """No kernels built before the test, none left behind after it."""
+    codegen.reset()
+    try:
+        yield
+    finally:
+        codegen.reset()
+
+
+# ----------------------------------------------------------------------
+# Packers
+# ----------------------------------------------------------------------
+
+
+def _random_relation(rng: random.Random, n: int) -> Relation:
+    density = rng.uniform(0.05, 0.5)
+    return Relation.from_pairs(
+        n,
+        [(i, j) for i in range(n) for j in range(n) if rng.random() < density],
+    )
+
+
+@needs_numpy
+class TestPackers:
+    #: Tiny, catalog-typical, and one past the 64-bit packed row.
+    SIZES = (1, 7, 66)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_relations_match_rows(self, n):
+        rng = random.Random(derive_seed(_SEED, f"pack-relations-{n}"))
+        rels = [_random_relation(rng, n) for _ in range(5)]
+        rels += [Relation.empty(n), Relation.full(n), Relation.identity(n)]
+        data = pack_relations(rels, n)
+        assert data.shape == (len(rels), n, n)
+        assert str(data.dtype) == "float32"
+        for b, rel in enumerate(rels):
+            for i in range(n):
+                row = sum(int(data[b, i, j]) << j for j in range(n))
+                assert row == rel.row(i)
+        assert set(data.ravel().tolist()) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_sets_match_members(self, n):
+        rng = random.Random(derive_seed(_SEED, f"pack-sets-{n}"))
+        sets = [
+            frozenset(i for i in range(n) if rng.random() < 0.4)
+            for _ in range(5)
+        ] + [frozenset(), frozenset(range(n))]
+        data = pack_sets(sets, n)
+        assert data.shape == (len(sets), n)
+        assert str(data.dtype) == "float32"
+        for b, events in enumerate(sets):
+            assert frozenset(data[b].nonzero()[0].tolist()) == events
+
+
+# ----------------------------------------------------------------------
+# One generated-vs-scalar case per node kind
+# ----------------------------------------------------------------------
+
+
+def _node_cases():
+    po, rf, co = N.base("po"), N.base("rf"), N.base("co")
+    reads, writes, accesses = N.bset("R"), N.bset("W"), N.bset("M")
+    x0, x1 = N.var(0), N.var(1)
+    cases = [(f"base-{t}", N.base(t)) for t in sorted(N.BASE_RELATIONS)]
+    cases += [(f"set-{t}", N.lift(N.bset(t))) for t in sorted(N.BASE_SETS)]
+    cases += [
+        ("empty", N.empty()),
+        ("sempty", N.lift(N.scompl(N.sempty()))),
+        ("union", N.union(po, rf)),
+        ("sunion", N.lift(N.sunion(reads, N.bset("F")))),
+        ("inter", N.inter(N.base("loc"), po)),
+        ("sinter", N.lift(N.sinter(accesses, writes))),
+        ("diff", N.diff(N.base("loc"), po)),
+        ("sdiff", N.lift(N.sdiff(accesses, reads))),
+        ("compl", N.compl(po)),
+        ("scompl", N.lift(N.scompl(reads))),
+        ("comp", N.comp(po, rf)),
+        # [S] factors: leading, interior and trailing masks.
+        ("comp-masks", N.comp(N.lift(reads), po, N.lift(writes), rf,
+                              N.lift(reads))),
+        ("comp-all-lifts", N.comp(N.lift(accesses), N.lift(writes))),
+        ("inverse", N.inverse(rf)),
+        ("opt", N.opt(po)),
+        ("plus", N.plus(N.union(rf, po))),
+        ("star", N.star(N.comp(rf, po))),
+        ("lift", N.lift(N.domain(co))),
+        ("cross", N.cross(writes, reads)),
+        ("domain", N.lift(N.domain(rf))),
+        ("range", N.lift(N.range_(rf))),
+        ("stronglift", N.stronglift(N.union(po, rf))),
+        ("weaklift", N.weaklift(N.union(po, rf, co))),
+        # po+ as a fixpoint.
+        ("fix", N.fix((N.union(po, N.comp(x0, x0)),), 0)),
+        # Two mutually recursive components, a hoisted closed
+        # subexpression, and a comp mask inside the Kleene loop.
+        ("fix-mutual", N.fix(
+            (
+                N.union(N.comp(rf, po), N.comp(x1, po)),
+                N.union(co, N.comp(N.lift(writes), x0, rf)),
+            ),
+            1,
+        )),
+    ]
+    return cases
+
+
+_CASES = _node_cases()
+
+#: Every kind the emitter lowers (``var`` only appears inside ``fix``).
+_EMITTED_KINDS = {
+    "base", "set", "empty", "sempty", "union", "sunion", "inter", "sinter",
+    "diff", "sdiff", "compl", "scompl", "comp", "inverse", "opt", "plus",
+    "star", "lift", "cross", "domain", "range", "stronglift", "weaklift",
+    "fix",
+}
+
+
+def test_node_cases_cover_every_emitted_kind():
+    covered = {
+        node.kind for _, root in _CASES for node in N.reachable([root]).values()
+    }
+    assert _EMITTED_KINDS <= covered, _EMITTED_KINDS - covered
+
+
+def _kernel(token, kind, node, n):
+    definition = IRDefinition((IRAxiom("A", kind, "a", node),))
+    kernel = codegen.compiled_for(token, definition, n)
+    assert kernel is not None, f"no kernel for {token}"
+    return kernel
+
+
+@needs_numpy
+@pytest.mark.parametrize("name,node", _CASES, ids=[c[0] for c in _CASES])
+def test_kernel_matches_scalar_per_node_kind(name, node, cold_kernels):
+    """Each predicate over the case's node, generated vs scalar, on the
+    transactional and the baseline view; then the node's value itself,
+    read back from the context memo through a ``[_] ; node ; [_]`` probe
+    (a predicate alone cannot tell, say, ``domain`` from ``range``)."""
+    universe = N.lift(N.bset("_"))
+    probe = N.comp(universe, node, universe)
+    for stack in _catalog_stacks().values():
+        executions = [x for _, x in stack]
+        ctx = BatchContext.of(executions)
+        for target in (ctx, ctx.baseline):
+            analyses = [analyze(_fresh(x)) for x in executions]
+            if target is not ctx:
+                analyses = [a.baseline for a in analyses]
+            for kind in ("acyclic", "irreflexive", "empty"):
+                kernel = _kernel(f"node-case:{name}:{kind}", kind, node, ctx.n)
+                want = [axiom_holds(kind, node, a) for a in analyses]
+                assert kernel(target) == want, (name, kind, ctx.n)
+            if probe.kind != "comp":  # ``empty`` absorbs the probe
+                continue
+            _kernel(f"node-case:{name}:value", "empty", probe, ctx.n)(target)
+            memo = (target._parent or target)._memo if probe.txn_free else (
+                target._memo
+            )
+            want = pack_relations([evaluate(node, a) for a in analyses], ctx.n)
+            assert (memo[probe.id] == want).all(), (name, ctx.n)
+
+
+# ----------------------------------------------------------------------
+# Golden catalog
+# ----------------------------------------------------------------------
+
+
 class TestGoldenCatalogBatched:
     def test_native_models_match_pinned_scalar_matrix(self, forced_kernels):
-        """Batched plans over the full catalog reproduce the pinned
+        """Batched verdicts over the full catalog reproduce the pinned
         scalar golden matrix for every native model."""
         golden = load_snapshot(GOLDEN)
         buckets = _catalog_stacks()
@@ -277,9 +284,7 @@ class TestGoldenCatalogBatched:
         if definition is None:
             pytest.skip(f"cat:{cat_name} has no batchable IR")
         for stack in _catalog_stacks().values():
-            scalar = [
-                bool(model.consistent(_fresh(x))) for _, x in stack
-            ]
+            scalar = [bool(model.consistent(_fresh(x))) for _, x in stack]
             flags = plan.consistent_batch(
                 model, definition, [x for _, x in stack]
             )
@@ -310,7 +315,10 @@ def _campaign_verdicts(items, specs, batch):
 
 def _assert_identical(items, specs):
     scalar = _campaign_verdicts(items, specs, 0)
+    before = STATS.batch_candidates
     batched = _campaign_verdicts(items, specs, 64)
+    if HAVE_NUMPY:
+        assert STATS.batch_candidates > before, "no stack reached a kernel"
     assert batched == scalar
 
 
@@ -326,7 +334,7 @@ class TestCampaignDifferential:
     def test_seeded_fuzz_stream(self, forced_kernels):
         """A reproducible generator suite (prints its seed via the
         pytest header) swept batched vs scalar, including a ``.cat``
-        checker so ``let rec`` plans run inside the campaign."""
+        checker so ``let rec`` kernels run inside the campaign."""
         for arch, specs in (
             ("x86", ["x86", "sc"]),
             ("power", ["power", "cat:power"]),
@@ -338,3 +346,162 @@ class TestCampaignDifferential:
             ]
             assert items, "empty fuzz suite; differential is hollow"
             _assert_identical(items, specs)
+
+    @needs_numpy
+    def test_build_failure_falls_back_to_scalar(
+        self, forced_kernels, cold_kernels, monkeypatch
+    ):
+        """A kernel that cannot be built sends its stacks to the scalar
+        path: verdicts unchanged, one count (also in the telemetry
+        snapshot a run manifest is built from) and one warning per
+        ``(token, n)`` tried, no candidate through a kernel."""
+        items = litmus_suite(
+            sorted(str(p) for p in CORPUS.glob("x86/*.litmus"))
+        )
+        specs = ["x86", "sc"]
+        scalar = _campaign_verdicts(items, specs, 0)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("emitter broke")
+
+        monkeypatch.setattr(codegen, "generate_source", broken)
+        failures = STATS.kernel_build_failures
+        candidates = STATS.batch_candidates
+        bundle = telemetry.enable()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                batched = _campaign_verdicts(items, specs, 64)
+        finally:
+            telemetry.disable()
+        assert batched == scalar
+        tried = list(codegen._COMPILED)
+        assert tried and all(codegen._COMPILED[k] is None for k in tried)
+        assert STATS.kernel_build_failures - failures == len(tried)
+        counters = bundle.snapshot(spans=False)["trace"]["counters"]
+        assert counters["ir_kernel_build_failures"] == len(tried)
+        assert STATS.batch_candidates == candidates
+        messages = [
+            str(w.message)
+            for w in caught
+            if issubclass(w.category, RuntimeWarning)
+            and "batched kernel" in str(w.message)
+        ]
+        assert len(messages) == len(tried)
+        for token, n in tried:
+            assert sum(f"{token} at n={n} " in m for m in messages) == 1
+
+
+# ----------------------------------------------------------------------
+# Batch floor
+# ----------------------------------------------------------------------
+
+
+def _small_plan():
+    """A (model, definition, stack) triple on the smallest bucket."""
+    model = get_model("sc")
+    definition = model.batch_definition()
+    stack = min(_catalog_stacks().values(), key=lambda s: s[0][1].n)
+    return model, definition, stack
+
+
+class TestKernelFloor:
+    def test_default_floor(self):
+        assert plan.MIN_KERNEL_BATCH == 8
+        assert plan.CODEGEN_KERNEL_BATCH == 2
+        assert plan.kernel_floor() == plan.MIN_KERNEL_BATCH
+
+    @needs_numpy
+    def test_warm_generated_kernel_lowers_floor(
+        self, cold_kernels, monkeypatch
+    ):
+        model, definition, stack = _small_plan()
+        token = model.definition_token()
+        n = stack[0][1].n
+        assert plan.kernel_floor(token, n) == plan.MIN_KERNEL_BATCH
+        assert codegen.compiled_for(token, definition, n) is not None
+        assert plan.kernel_floor(token, n) == plan.CODEGEN_KERNEL_BATCH
+        # ... but never below an explicit test pin.
+        monkeypatch.setattr(plan, "MIN_KERNEL_BATCH", 1)
+        assert plan.kernel_floor(token, n) == 1
+
+
+# ----------------------------------------------------------------------
+# Batch-aware sharding (the parallel campaign / serve dispatch unit)
+# ----------------------------------------------------------------------
+
+
+def _units(k):
+    """k campaign units over catalog executions (varied universes)."""
+    entries = sorted(CATALOG.items())
+    return [
+        (
+            f"u{i:03d}-{entries[i % len(entries)][0]}",
+            entries[i % len(entries)][1].execution,
+            ("x86", "sc"),
+            False,
+        )
+        for i in range(k)
+    ]
+
+
+class TestShardAssembly:
+    def test_partition_is_exact_and_nonempty(self):
+        units = _units(17)
+        for n_shards in (1, 2, 5, 16, 17, 50):
+            shards = assemble_shards(units, n_shards)
+            assert all(shards)
+            assert len(shards) == min(n_shards, len(units))
+            flat = sorted(u[0] for shard in shards for u in shard)
+            assert flat == sorted(u[0] for u in units)
+
+    def test_same_universe_units_stay_contiguous(self):
+        units = _units(20)
+        shards = assemble_shards(units, 4)
+        # Sorted-by-size assembly: sizes never decrease across the
+        # shard sequence, so equal-size runs span adjacent shards only.
+        sizes = [u[1].n for shard in shards for u in shard]
+        assert sizes == sorted(sizes)
+
+    def test_deterministic(self):
+        units = _units(13)
+        a = assemble_shards(list(reversed(units)), 3)
+        b = assemble_shards(units, 3)
+        assert [[u[0] for u in s] for s in a] == [
+            [u[0] for u in s] for s in b
+        ]
+
+    def test_empty(self):
+        assert assemble_shards([], 4) == []
+
+    def test_run_shard_matches_serial_verdicts(self):
+        units = _units(9)
+        serial = {
+            (name, spec): verdict
+            for unit in units
+            for name, spec, verdict, _t, _e in run_shard([unit])[0][0]
+        }
+        batched = {
+            (name, spec): verdict
+            for rows, _snap in run_shard(units)
+            for name, spec, verdict, _t, _e in rows
+        }
+        assert batched == serial
+
+
+class TestParallelCampaignDifferential:
+    def test_jobs2_matches_serial(self):
+        """The sharded parallel path returns the serial path's exact
+        verdict matrix (the catalog crossed with four models exercises
+        the shard prefill and the per-cell fallback split)."""
+        from repro.engine.campaign import catalog_suite
+
+        suite = catalog_suite()
+        models = ["x86", "power", "armv8", "x86tm"]
+        serial = run_campaign(suite, models, jobs=1)
+        parallel = run_campaign(suite, models, jobs=2)
+        assert {
+            k: (c.verdict, c.error) for k, c in serial.cells.items()
+        } == {
+            k: (c.verdict, c.error) for k, c in parallel.cells.items()
+        }

@@ -1,27 +1,25 @@
-"""Differential + cache suite for the generated-kernel tier.
+"""Direct checks of the generated kernels (:mod:`repro.ir.codegen`).
 
-:mod:`repro.ir.codegen` lowers compiled :class:`~repro.ir.plan.
-BatchPlan`s to straight-line Python source.  Its contract mirrors the
-batched kernels': bit-identical verdicts, never an approximation.  Four
-layers pin it:
+The two-way differential in ``tests/test_batch.py`` goes through
+:func:`repro.ir.plan.consistent_batch` and the campaign engine, where a
+kernel that cannot be built falls back to the scalar reference: its
+verdicts still match, so a broken emitter would hide there.  The checks
+here hold the kernels themselves to account:
 
-* **Golden catalog** — generated kernels over the whole curated catalog
-  against the pinned scalar matrix, every native model plus ``.cat``
-  fixpoint models, on *both* backends (numpy dense and the pure-Python
-  packed fallback);
-* **Corpus matrix** — the full committed litmus corpus swept three
-  ways through the campaign engine (codegen / interpreted plans /
-  scalar), cell for cell;
+* **Golden catalog** — :func:`~repro.ir.codegen.compiled_for` must
+  return a kernel for every native model at every catalog universe
+  size, and that kernel must reproduce the pinned scalar matrix;
+  ``cat:power`` / ``cat:armv8`` kernels (``let rec`` fixpoints) must
+  match the ``.cat`` tree-walk interpreter, an evaluator that shares no
+  code with the IR;
+* **Corpus matrix** — a batched campaign over the full committed corpus
+  builds every kernel it asks for and reproduces the pinned
+  ``tests/corpus_verdicts.json``;
 * **Fuzz stream** — a seeded generator suite (reproducible via
-  ``REPRO_TEST_SEED``) swept with codegen on vs off;
-* **Disk cache** — generated modules persist under
-  ``.repro-cache/codegen/`` keyed by ``(digest, n, backend,
-  CODEGEN_VERSION)``: a second process loads without regenerating, a
-  version bump makes stale entries unreachable by name, and a corrupt
-  entry is regenerated, never executed.
+  ``REPRO_TEST_SEED``, on its own seed stream) builds every kernel and
+  matches a scalar campaign.
 
-Plus the batch-floor rules (:func:`repro.ir.plan.kernel_floor`) and the
-batch-aware shard assembly the parallel campaign paths dispatch over.
+Every test here needs numpy and skips without it.
 """
 
 import pathlib
@@ -34,45 +32,50 @@ from repro.conformance.generators import generate_suite
 from repro.conformance.golden import load_snapshot
 from repro.conformance.seeds import derive_seed, reproducible_seed
 from repro.core.execution import Execution
-from repro.core.relbatch import HAVE_NUMPY, set_backend
-from repro.engine.batchsweep import assemble_shards, run_shard
 from repro.engine.campaign import litmus_suite, run_campaign
-from repro.ir.batch import BatchContext
-from repro.litmus.candidates import (
-    _expand_test,
-    expand_program,
-    set_batch_size,
-)
+from repro.ir.batch import HAVE_NUMPY, BatchContext
+from repro.ir.eval import STATS
+from repro.litmus.candidates import _expand_test, expand_program, set_batch_size
 from repro.models.registry import MODELS, get_model
 import repro.ir.codegen as codegen
 import repro.ir.plan as plan
 
 _SEED = reproducible_seed()
-CORPUS = pathlib.Path(__file__).resolve().parent / "corpus"
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_verdicts.json"
+_HERE = pathlib.Path(__file__).resolve().parent
+CORPUS = _HERE / "corpus"
+GOLDEN = _HERE / "golden_verdicts.json"
+CORPUS_VERDICTS = _HERE / "corpus_verdicts.json"
 
-BACKENDS = ("python", "numpy") if HAVE_NUMPY else ("python",)
+
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="generated kernels need numpy"
+)
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["numpy"])
 def backend(request):
-    set_backend(request.param)
-    try:
-        yield request.param
-    finally:
-        set_backend(None)
+    """The array library the kernels are generated for (numpy is the
+    only one); skips without it."""
+    if not HAVE_NUMPY:
+        pytest.skip("generated kernels need numpy")
+    return request.param
 
 
 @pytest.fixture
-def codegen_cache(tmp_path, monkeypatch):
-    """An isolated on-disk codegen cache plus cold in-process state, so
-    cache tests observe exactly their own writes."""
-    monkeypatch.setenv("REPRO_CODEGEN_DIR", str(tmp_path))
+def cold_kernels():
+    """No kernels built before the test, none left behind after it, so
+    ``codegen._COMPILED`` holds exactly the kernels the test asked for."""
     codegen.reset()
     try:
-        yield tmp_path
+        yield
     finally:
         codegen.reset()
+
+
+@pytest.fixture
+def forced_kernels(monkeypatch):
+    """Send every campaign stack to a kernel, however small."""
+    monkeypatch.setattr(plan, "MIN_KERNEL_BATCH", 1)
 
 
 def _fresh(x: Execution) -> Execution:
@@ -96,9 +99,17 @@ def _compiled_verdicts(model, definition, stack):
     token = model.definition_token()
     ctx = BatchContext.of([x for _, x in stack])
     compiled = codegen.compiled_for(token, definition, ctx.n)
-    assert compiled is not None, f"codegen failed for {model.name}"
+    assert compiled is not None, f"no kernel for {model.name} at n={ctx.n}"
     target = ctx if model.tm else ctx.baseline
-    return list(map(bool, compiled.consistent(target)))
+    return list(map(bool, compiled(target)))
+
+
+def _assert_every_kernel_built(failures_before: int) -> None:
+    tried = list(codegen._COMPILED)
+    assert tried, "no kernel was asked for; the check is hollow"
+    broken = [key for key in tried if codegen._COMPILED[key] is None]
+    assert not broken, f"kernels failed to build: {broken[:10]}"
+    assert STATS.kernel_build_failures == failures_before
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +119,7 @@ def _compiled_verdicts(model, definition, stack):
 
 class TestGoldenCatalogCodegen:
     def test_native_models_match_pinned_scalar_matrix(
-        self, backend, codegen_cache
+        self, backend, cold_kernels
     ):
         golden = load_snapshot(GOLDEN)
         mismatches = []
@@ -121,49 +132,38 @@ class TestGoldenCatalogCodegen:
                 for (entry_name, _), flag in zip(stack, flags):
                     if flag != golden[entry_name][model_name]:
                         mismatches.append((entry_name, model_name, flag))
-        assert not mismatches, f"codegen verdicts flipped: {mismatches[:10]}"
+        assert not mismatches, f"kernel verdicts flipped: {mismatches[:10]}"
 
     @pytest.mark.parametrize("cat_name", ["power", "armv8"])
     def test_cat_models_match_interpreted(
-        self, backend, codegen_cache, cat_name
+        self, backend, cold_kernels, cat_name
     ):
         """`.cat` models (``let rec`` fixpoints included): the generated
-        kernel against the interpreted plan on independent contexts."""
+        kernel against the ``.cat`` tree-walk interpreter on
+        independent execution copies."""
         model = load_cat_model(cat_name)
         definition = model.batch_definition()
-        if definition is None:
-            pytest.skip(f"cat:{cat_name} has no batchable IR")
-        token = model.definition_token()
+        assert definition is not None, f"cat:{cat_name} lost its IR"
         for stack in _catalog_buckets().values():
-            ctx = BatchContext.of([_fresh(x) for _, x in stack])
-            interp = plan.plan_for(token, definition, ctx.n).consistent(
-                ctx if model.tm else ctx.baseline
-            )
-            assert _compiled_verdicts(model, definition, stack) == list(
-                map(bool, interp)
-            )
+            interpreted = [
+                bool(model.evaluate(_fresh(x)).consistent) for _, x in stack
+            ]
+            assert _compiled_verdicts(model, definition, stack) == interpreted
 
 
 # ----------------------------------------------------------------------
-# Campaign-level differentials (corpus matrix + seeded fuzz stream)
+# Campaigns that must build every kernel they ask for
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture
-def forced_kernels(monkeypatch):
-    monkeypatch.setattr(plan, "MIN_KERNEL_BATCH", 1)
-
-
-def _campaign_verdicts(items, specs, batch, use_codegen):
+def _campaign_cells(items, specs, batch):
     expand_program.cache_clear()
     _expand_test.cache_clear()
     set_batch_size(batch)
-    codegen.set_enabled(use_codegen)
     try:
         result = run_campaign(items, specs)
     finally:
         set_batch_size(None)
-        codegen.set_enabled(None)
         expand_program.cache_clear()
         _expand_test.cache_clear()
     return {
@@ -171,29 +171,33 @@ def _campaign_verdicts(items, specs, batch, use_codegen):
     }
 
 
-def _assert_three_way(items, specs):
-    """codegen == interpreted == scalar, cell for cell."""
-    scalar = _campaign_verdicts(items, specs, 0, False)
-    interpreted = _campaign_verdicts(items, specs, 64, False)
-    generated = _campaign_verdicts(items, specs, 64, True)
-    assert interpreted == scalar
-    assert generated == scalar
-
-
 class TestCampaignDifferential:
-    def test_full_corpus_matrix(self, forced_kernels):
-        """The complete committed corpus (every dialect; ``exists``,
-        ``~exists`` and ``forall`` alike) × every native model: the
-        generated-kernel, interpreted, and scalar campaigns agree on
-        every cell."""
-        paths = sorted(str(p) for p in CORPUS.glob("*/*.litmus"))
+    @needs_numpy
+    def test_full_corpus_matrix(self, forced_kernels, cold_kernels):
+        """The complete committed corpus × every native model, batched
+        from cold kernels: every kernel builds, stacks reach them, and
+        every cell equals the pinned corpus matrix."""
+        golden = load_snapshot(CORPUS_VERDICTS)
+        paths = sorted(CORPUS.glob("*/*.litmus"))
         assert len(paths) >= 150, "corpus shrank; differential is hollow"
-        _assert_three_way(litmus_suite(paths), sorted(MODELS))
+        items = litmus_suite([str(p) for p in paths])
+        models = sorted(MODELS)
+        failures = STATS.kernel_build_failures
+        candidates = STATS.batch_candidates
+        got = _campaign_cells(items, models, 64)
+        _assert_every_kernel_built(failures)
+        assert STATS.batch_candidates > candidates, "no kernel ran"
+        want = {
+            (item.name, m): (golden[f"{p.parent.name}/{p.name}"][m], None)
+            for item, p in zip(items, paths)
+            for m in models
+        }
+        assert got == want
 
-    def test_seeded_fuzz_stream(self, forced_kernels, backend):
-        """A reproducible generator suite swept with codegen on vs off
-        on both backends, including a ``.cat`` checker so ``let rec``
-        kernels run inside the campaign."""
+    def test_seeded_fuzz_stream(self, backend, forced_kernels, cold_kernels):
+        """A reproducible generator suite, on a seed stream of its own,
+        batched from cold kernels vs scalar — including a ``.cat``
+        checker so ``let rec`` kernels run inside the campaign."""
         for arch, specs in (
             ("x86", ["x86", "sc"]),
             ("power", ["power", "cat:power"]),
@@ -204,182 +208,10 @@ class TestCampaignDifferential:
                 for item in generate_suite(arch, seed, "smoke")
             ]
             assert items, "empty fuzz suite; differential is hollow"
-            _assert_three_way(items, specs)
-
-
-# ----------------------------------------------------------------------
-# Disk cache: persist, reload, invalidate
-# ----------------------------------------------------------------------
-
-
-def _small_plan():
-    """A (model, definition, stack) triple on the smallest bucket."""
-    model = get_model("sc")
-    definition = model.batch_definition()
-    stack = min(_catalog_buckets().values(), key=lambda s: s[0][1].n)
-    return model, definition, stack
-
-
-class TestDiskCache:
-    def test_persists_and_reloads_without_regenerating(
-        self, backend, codegen_cache, monkeypatch
-    ):
-        model, definition, stack = _small_plan()
-        want = _compiled_verdicts(model, definition, stack)
-        files = list(codegen_cache.glob("*.py"))
-        assert len(files) == 1, files
-        assert f"-v{codegen.CODEGEN_VERSION}.py" in files[0].name
-
-        # A "new process": compile state dropped, disk cache kept.  The
-        # module must come back from disk — regeneration is a bug here.
-        codegen.reset()
-        calls = []
-        real = codegen.generate_source
-        monkeypatch.setattr(
-            codegen,
-            "generate_source",
-            lambda *a, **k: calls.append(a) or real(*a, **k),
-        )
-        assert _compiled_verdicts(model, definition, stack) == want
-        assert not calls, "reloaded entry was regenerated"
-
-    def test_version_bump_makes_stale_entries_unreachable(
-        self, backend, codegen_cache, monkeypatch
-    ):
-        model, definition, stack = _small_plan()
-        want = _compiled_verdicts(model, definition, stack)
-        (stale,) = codegen_cache.glob("*.py")
-
-        codegen.reset()
-        monkeypatch.setattr(codegen, "CODEGEN_VERSION", 999)
-        assert _compiled_verdicts(model, definition, stack) == want
-        names = {p.name for p in codegen_cache.glob("*.py")}
-        assert stale.name in names  # the old entry is left, not loaded
-        assert any(n.endswith("-v999.py") for n in names - {stale.name})
-
-    def test_corrupt_entry_is_regenerated_not_executed(
-        self, backend, codegen_cache
-    ):
-        model, definition, stack = _small_plan()
-        want = _compiled_verdicts(model, definition, stack)
-        (path,) = codegen_cache.glob("*.py")
-        path.write_text("raise AssertionError('stale module executed')\n")
-
-        codegen.reset()
-        assert _compiled_verdicts(model, definition, stack) == want
-        # The poisoned text was replaced by a freshly generated module.
-        assert "AssertionError" not in path.read_text()
-
-
-# ----------------------------------------------------------------------
-# Batch floor (MIN_KERNEL_BATCH / REPRO_MIN_KERNEL_BATCH)
-# ----------------------------------------------------------------------
-
-
-class TestKernelFloor:
-    def test_default_floor(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MIN_KERNEL_BATCH", raising=False)
-        assert plan.kernel_floor() == plan.MIN_KERNEL_BATCH
-
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MIN_KERNEL_BATCH", "3")
-        assert plan.kernel_floor() == 3
-        monkeypatch.setenv("REPRO_MIN_KERNEL_BATCH", "not-a-number")
-        assert plan.kernel_floor() == plan.MIN_KERNEL_BATCH
-
-    def test_warm_generated_kernel_lowers_floor(
-        self, backend, codegen_cache, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_MIN_KERNEL_BATCH", raising=False)
-        model, definition, stack = _small_plan()
-        token = model.definition_token()
-        n = stack[0][1].n
-        assert plan.kernel_floor(token, n) == plan.MIN_KERNEL_BATCH
-        assert codegen.compiled_for(token, definition, n) is not None
-        assert plan.kernel_floor(token, n) == plan.CODEGEN_KERNEL_BATCH
-        # ... but never below an explicit test pin.
-        monkeypatch.setattr(plan, "MIN_KERNEL_BATCH", 1)
-        assert plan.kernel_floor(token, n) == 1
-
-
-# ----------------------------------------------------------------------
-# Batch-aware sharding (the parallel campaign / serve dispatch unit)
-# ----------------------------------------------------------------------
-
-
-def _units(k):
-    """k campaign units over catalog executions (varied universes)."""
-    entries = sorted(CATALOG.items())
-    return [
-        (
-            f"u{i:03d}-{entries[i % len(entries)][0]}",
-            entries[i % len(entries)][1].execution,
-            ("x86", "sc"),
-            False,
-        )
-        for i in range(k)
-    ]
-
-
-class TestShardAssembly:
-    def test_partition_is_exact_and_nonempty(self):
-        units = _units(17)
-        for n_shards in (1, 2, 5, 16, 17, 50):
-            shards = assemble_shards(units, n_shards)
-            assert all(shards)
-            assert len(shards) == min(n_shards, len(units))
-            flat = sorted(u[0] for shard in shards for u in shard)
-            assert flat == sorted(u[0] for u in units)
-
-    def test_same_universe_units_stay_contiguous(self):
-        units = _units(20)
-        shards = assemble_shards(units, 4)
-        # Sorted-by-size assembly: sizes never decrease across the
-        # shard sequence, so equal-size runs span adjacent shards only.
-        sizes = [u[1].n for shard in shards for u in shard]
-        assert sizes == sorted(sizes)
-
-    def test_deterministic(self):
-        units = _units(13)
-        a = assemble_shards(list(reversed(units)), 3)
-        b = assemble_shards(units, 3)
-        assert [[u[0] for u in s] for s in a] == [
-            [u[0] for u in s] for s in b
-        ]
-
-    def test_empty(self):
-        assert assemble_shards([], 4) == []
-
-    def test_run_shard_matches_serial_verdicts(self):
-        units = _units(9)
-        serial = {
-            (name, spec): verdict
-            for unit in units
-            for name, spec, verdict, _t, _e in run_shard([unit])[0][0]
-        }
-        batched = {
-            (name, spec): verdict
-            for rows, _snap in run_shard(units)
-            for name, spec, verdict, _t, _e in rows
-        }
-        assert batched == serial
-
-
-class TestParallelCampaignDifferential:
-    def test_jobs2_matches_serial(self):
-        """The sharded parallel path returns the serial path's exact
-        verdict matrix (suite with mixed universe sizes and a forall
-        test via the diy generator would be slow here; the catalog
-        crossed with two models exercises the shard prefill + fallback
-        split)."""
-        from repro.engine.campaign import catalog_suite
-
-        suite = catalog_suite()
-        models = ["x86", "power", "armv8", "x86tm"]
-        serial = run_campaign(suite, models, jobs=1)
-        parallel = run_campaign(suite, models, jobs=2)
-        assert {
-            k: (c.verdict, c.error) for k, c in serial.cells.items()
-        } == {
-            k: (c.verdict, c.error) for k, c in parallel.cells.items()
-        }
+            scalar = _campaign_cells(items, specs, 0)
+            failures = STATS.kernel_build_failures
+            candidates = STATS.batch_candidates
+            batched = _campaign_cells(items, specs, 64)
+            _assert_every_kernel_built(failures)
+            assert STATS.batch_candidates > candidates
+            assert batched == scalar

@@ -617,22 +617,3 @@ class TestCampaignCliTelemetry:
         )
         assert code == 0
         assert "run manifest:" in out
-
-
-class TestProfilingShim:
-    def test_legacy_surface_forwards_to_tracer(self):
-        from repro.core import profiling
-
-        assert profiling.ACTIVE is None
-        prof = profiling.enable()
-        try:
-            assert profiling.ACTIVE is prof
-            assert isinstance(prof, trace.Tracer)
-            with profiling.stage("axioms"):
-                pass
-            profiling.count("candidates", 2)
-        finally:
-            profiling.disable()
-        assert profiling.ACTIVE is None
-        assert prof.calls == {"axioms": 1}
-        assert prof.counters == {"candidates": 2}

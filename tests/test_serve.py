@@ -257,6 +257,18 @@ class TestJobSpec:
         assert spec.retries == 1
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
+    def test_unknown_options_are_ignored(self):
+        # Older clients still send the retired ``codegen`` knob.
+        spec = JobSpec.from_dict(
+            {
+                "suite": {"kind": "diy", "arch": "x86"},
+                "models": ["x86"],
+                "options": {"batch": 0, "codegen": False},
+            }
+        )
+        assert spec.batch == 0
+        assert "codegen" not in spec.to_dict()["options"]
+
     @pytest.mark.parametrize(
         "bad",
         [
