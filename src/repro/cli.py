@@ -171,7 +171,6 @@ def _cmd_table1(args) -> int:
     bounds = {"x86": [2, 3], "power": [2, 3]}
     if args.full:
         bounds = {"x86": [2, 3, 4], "power": [2, 3, 4]}
-    _configure_batch(args)
     with _make_cache(args) as cache:
         table = run_table1(
             bounds=bounds,
@@ -217,22 +216,6 @@ def _telemetry_requested(args) -> bool:
     )
 
 
-def _configure_batch(args) -> int:
-    """Apply ``--batch`` and return the effective chunk size.
-
-    Exported through the environment as well, so campaign worker
-    processes inherit the setting.
-    """
-    import os
-
-    from .litmus.candidates import batch_size, set_batch_size
-
-    if getattr(args, "batch", None) is not None:
-        set_batch_size(args.batch)
-        os.environ["REPRO_BATCH"] = str(args.batch)
-    return batch_size()
-
-
 def _runs_dir_for(args):
     """Manifests live beside the result cache when --cache-dir is set."""
     from pathlib import Path
@@ -250,6 +233,7 @@ def _cmd_campaign(args) -> int:
         litmus_suite,
         run_campaign,
     )
+    from .litmus.candidates import batch_size
     from .obs import manifest as obs_manifest
     from .obs import telemetry as obs_telemetry
 
@@ -272,7 +256,6 @@ def _cmd_campaign(args) -> int:
         return 1
 
     models = (args.models or args.arch).split(",")
-    batch = _configure_batch(args)
     # Telemetry no longer forces --jobs 1: pool workers collect their own
     # snapshots and the parent merges them (see repro.obs.telemetry).
     bundle = (
@@ -308,7 +291,7 @@ def _cmd_campaign(args) -> int:
                     cache=cache,
                     argv=sys.argv[1:],
                     snapshot=bundle.snapshot(),
-                    extra={"batch": batch},
+                    extra={"batch": batch_size()},
                 )
     finally:
         if bundle is not None:
@@ -363,7 +346,6 @@ def _default_server() -> str:
 def _cmd_serve(args) -> int:
     from .serve import CampaignService, serve_forever
 
-    _configure_batch(args)
     service = CampaignService(
         jobs=args.jobs,
         cell_timeout=args.cell_timeout,
@@ -423,7 +405,6 @@ def _cmd_submit(args) -> int:
             "cell_timeout": args.cell_timeout,
             "retries": args.retries,
             "shards": args.shards,
-            "batch": args.batch,
         },
         "label": args.label or "",
     }
@@ -532,6 +513,7 @@ def _cmd_jobs(args) -> int:
 def _cmd_fuzz(args) -> int:
     from .conformance import reproducible_seed, run_fuzz
     from .conformance.report import to_json_lines, to_markdown
+    from .litmus.candidates import batch_size
     from .obs import manifest as obs_manifest
     from .obs import telemetry as obs_telemetry
 
@@ -549,7 +531,6 @@ def _cmd_fuzz(args) -> int:
         # Inside the try: a malformed $REPRO_TEST_SEED is a
         # configuration error (exit 2), not a disagreement (exit 1).
         seed = reproducible_seed() if args.seed is None else args.seed
-        batch = _configure_batch(args)
         with _make_cache(args) as cache:
             report = run_fuzz(
                 args.arch,
@@ -568,7 +549,7 @@ def _cmd_fuzz(args) -> int:
                     cache=cache,
                     argv=sys.argv[1:],
                     snapshot=bundle.snapshot(),
-                    extra={"batch": batch},
+                    extra={"batch": batch_size()},
                 )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -878,10 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the persistent result cache")
         p.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="result cache location (default .repro-cache)")
-        p.add_argument("--batch", type=int, default=None, metavar="N",
-                       help="candidate chunk size for the batched "
-                            "consistency kernels (0 = scalar path; "
-                            "default: $REPRO_BATCH, else 64)")
 
     p = sub.add_parser("campaign",
                        help="batch-run a litmus suite across models")
@@ -916,6 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(matrix, per-cell timings, cache stats)")
     add_engine_options(p)
 
+    from .engine.batchsweep import CELL_TIMEOUT
     from .serve.protocol import DEFAULT_PORT
 
     p = sub.add_parser("serve",
@@ -923,10 +901,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "a shared result store and an HTTP JSON API")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p.add_argument("--cell-timeout", type=float, default=60.0,
+    p.add_argument("--cell-timeout", type=float, default=CELL_TIMEOUT,
                    metavar="SECS",
                    help="default per-cell compute budget; a shard is "
-                        "abandoned after cell_timeout x its cell count")
+                        "abandoned after cell_timeout x the largest "
+                        "shard's cell count")
     p.add_argument("--retries", type=int, default=1, metavar="N",
                    help="default re-runs for a shard whose worker died "
                         "or hung before its cells are poisoned")
@@ -958,14 +937,10 @@ def build_parser() -> argparse.ArgumentParser:
                         f"http://127.0.0.1:{DEFAULT_PORT})")
     p.add_argument("--label", default=None,
                    help="job label for listings and the run manifest")
-    p.add_argument("--cell-timeout", type=float, default=60.0,
+    p.add_argument("--cell-timeout", type=float, default=CELL_TIMEOUT,
                    metavar="SECS")
     p.add_argument("--retries", type=int, default=1, metavar="N")
     p.add_argument("--shards", type=int, default=None, metavar="N")
-    p.add_argument("--batch", type=int, default=None, metavar="N",
-                   help="candidate chunk size for this job's batched "
-                        "kernels (0 = scalar path; default: the "
-                        "server's setting)")
     p.add_argument("--watch", action="store_true",
                    help="print each cell as it lands")
     p.add_argument("--no-wait", action="store_true",

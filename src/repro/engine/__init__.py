@@ -48,7 +48,7 @@ from .checkers import (
     resolve_checker,
 )
 from .memo import MemoModel
-from .pool import default_jobs, parallel_map
+from .pool import default_jobs
 
 __all__ = [
     "BruteForceChecker",
@@ -70,7 +70,6 @@ __all__ = [
     "execution_suite",
     "fingerprint",
     "litmus_suite",
-    "parallel_map",
     "resolve_checker",
     "run_campaign",
 ]

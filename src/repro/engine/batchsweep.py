@@ -29,36 +29,55 @@ yields hundreds of candidates sharing a universe size.
    and were not decided by the collected prefix fall back to the
    per-cell path untouched.
 
-On the serial (``jobs == 1``) path the prefill runs once over the whole
-suite.  Parallel campaigns and the serve scheduler instead assemble
-*batch-aware shards* (:func:`assemble_shards`): units are ordered by
-estimated universe size so same-bucket work lands in the same shard,
-and every worker runs the same prefill over its whole shard
-(:func:`run_shard`) before falling back to the per-cell path for
-whatever the prefill left undecided — batched kernels inside every
-worker, not just the serial run.
+A prefill step that raises never costs a verdict: its cells take the
+per-cell path instead.  Each such fallback is counted in
+:attr:`repro.ir.eval.EvalStats.prefill_fallbacks` and warned about.
+
+This module is also the one way pending cells run, for
+:func:`~repro.engine.campaign.run_campaign` and the campaign service
+alike.  :func:`plan_shards` cuts the pending units into *batch-aware
+shards* — one in-process shard holding the whole suite when serial;
+otherwise units ordered by estimated universe size, so same-bucket work
+lands in the same shard (:func:`assemble_shards`) — and gives them a
+time budget.  :func:`~repro.engine.pool.resilient_map` runs
+:func:`run_shard` over them: the prefill over the whole shard, then the
+per-cell path for whatever it left undecided.  A shard whose worker
+died or hung comes back as a :class:`~repro.engine.pool.PoisonedTask`,
+which :func:`poisoned_rows` turns into one errored row per cell it
+carried.
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 from typing import Callable, Iterable
 
 from ..core.execution import Execution
 from ..ir import plan as ir_plan
 from ..ir.batch import BatchContext
+from ..ir.eval import STATS
 from ..litmus.candidates import batch_size, candidate_executions, expand_test
 from ..litmus.test import LitmusTest
+from ..obs import telemetry as obs_telemetry
 from ..obs import trace
-from .checkers import Checker, ModelChecker, resolve_checker
+from .checkers import Checker, ModelChecker
+from .pool import default_jobs
 
 __all__ = [
+    "CELL_TIMEOUT",
     "PREFILL_STREAM_CAP",
     "KERNEL_CHUNK",
     "prefill_units",
     "assemble_shards",
+    "plan_shards",
+    "poisoned_rows",
     "run_shard",
 ]
+
+#: Default per-cell compute budget in seconds, for CLI campaigns and the
+#: service alike; a shard's budget scales it by the shard's cell count.
+CELL_TIMEOUT = 60.0
 
 #: Per-cell candidate cap for the collect phase: a stream still going
 #: after this many (post-filter) candidates is a big test, and big tests
@@ -76,6 +95,23 @@ KERNEL_CHUNK = 1024
 _MISSING = object()
 
 
+def _fall_back(subject: str, reason: str, exc: Exception) -> None:
+    """Count one prefill fallback and warn about it.
+
+    The affected cells take the per-cell path, which decides them (or
+    reports their error) exactly as an unbatched run would.  The message
+    depends only on the subject, the reason and the exception type, so
+    Python's warning registry shows each once per process.
+    """
+    STATS.prefill_fallbacks += 1
+    warnings.warn(
+        f"batched prefill fell back to the per-cell path for {subject}: "
+        f"{reason} raised {type(exc).__name__}",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+
+
 class _Cell:
     """One prefill candidate: a pending (item, checker) pair plus the
     candidate set its verdict quantifies over."""
@@ -85,12 +121,12 @@ class _Cell:
         "executions", "exhausted",
     )
 
-    def __init__(self, name, checker, definition, token, quantifier):
+    def __init__(self, name, checker, definition, quantifier):
         self.name = name
         self.spec = checker.spec
         self.model = checker.model
         self.definition = definition
-        self.token = token
+        self.token = checker.token
         self.quantifier = quantifier  # "exec" | "exists" | "forall"
         self.executions: list[Execution] = []
         self.exhausted = False
@@ -125,25 +161,23 @@ def _collect_stream(
     return pairs, True
 
 
-def _resolve_batchable(entry, cache):
-    """``(checker, definition, token, gate)`` for a batchable plain
-    :class:`ModelChecker` entry, else ``None`` — computed once per
-    distinct entry, not once per (unit, entry)."""
-    from .campaign import _definition_token
-
-    key = id(entry)
+def _resolve_batchable(checker: Checker, cache):
+    """``(definition, gate)`` for a batchable plain :class:`ModelChecker`,
+    else ``None`` — computed once per distinct checker, not once per
+    (unit, checker)."""
+    key = id(checker)
     if key in cache:
         return cache[key]
-    checker = entry if isinstance(entry, Checker) else resolve_checker(entry)
     out = None
     if type(checker) is ModelChecker:  # oracle/brute-force keep their path
         try:
             definition = checker.model.batch_definition()
-        except Exception:
+        except Exception as exc:
+            _fall_back(checker.spec, "batch_definition()", exc)
             definition = None
         if definition is not None:
             gate = getattr(checker.model, "enforces_coherence", False)
-            out = (checker, definition, _definition_token(checker), gate)
+            out = (definition, gate)
     cache[key] = out
     return out
 
@@ -158,13 +192,13 @@ def _collect(units) -> list[_Cell]:
         # hundreds of small tests.  ``prefixes`` maps a quantifier to
         # ``(pairs, exhausted, per-gate executions)``.
         prefixes: dict[str, tuple | None] = {}
-        for entry in checkers:
-            batchable = _resolve_batchable(entry, resolved)
+        for checker in checkers:
+            batchable = _resolve_batchable(checker, resolved)
             if batchable is None:
                 continue
-            checker, definition, token, gate = batchable
+            definition, gate = batchable
             if isinstance(payload, Execution):
-                cell = _Cell(name, checker, definition, token, "exec")
+                cell = _Cell(name, checker, definition, "exec")
                 cell.executions.append(payload)
                 cell.exhausted = True
                 cells.append(cell)
@@ -189,8 +223,9 @@ def _collect(units) -> list[_Cell]:
                         prefix = _collect_stream(
                             iter(expand_test(payload, False)), None
                         ) + ({},)
-                except Exception:
-                    # Fall back: the per-cell path reports the error.
+                except Exception as exc:
+                    # The per-cell path reports the error, if it recurs.
+                    _fall_back(checker.spec, "candidate collection", exc)
                     prefix = None
                 prefixes[quantifier] = prefix
             if prefix is None:
@@ -201,7 +236,7 @@ def _collect(units) -> list[_Cell]:
                 by_gate[gate] = executions = [
                     x for x, coherent in pairs if coherent or not gate
                 ]
-            cell = _Cell(name, checker, definition, token, quantifier)
+            cell = _Cell(name, checker, definition, quantifier)
             cell.executions = executions
             cell.exhausted = exhausted
             cells.append(cell)
@@ -253,9 +288,10 @@ def prefill_units(units):
                     continue
                 try:
                     out = ir_plan.consistent_on(model, definition, ctx)
-                except Exception:
+                except Exception as exc:
                     # The per-cell fallback will reproduce (and report)
                     # the failure for exactly the affected cells.
+                    _fall_back(spec, "the kernel sweep", exc)
                     broken.add(spec)
                     flags.pop(spec, None)
                     continue
@@ -315,12 +351,8 @@ def prefill_units(units):
 
 
 # ----------------------------------------------------------------------
-# Batch-aware sharding (parallel campaigns and the serve scheduler)
+# Shards: the one way pending cells run
 # ----------------------------------------------------------------------
-
-
-def _spec_of(entry) -> str:
-    return entry.spec if isinstance(entry, Checker) else str(entry)
 
 
 def _unit_size(unit) -> int:
@@ -349,9 +381,8 @@ def assemble_shards(units, n_shards: int) -> list[list]:
     name-tiebroken so the partition is deterministic) and cut into
     *contiguous* chunks balanced by pending-cell count: same-bucket
     units land in the same shard, so each worker's
-    :func:`prefill_units` sweep sees whole buckets instead of the
-    round-robin scatter that left every worker with one-execution
-    contexts.  Every returned shard is non-empty.
+    :func:`prefill_units` sweep sees whole buckets instead of a few
+    executions of each.  Every returned shard is non-empty.
     """
     units = list(units)
     if not units:
@@ -382,64 +413,123 @@ def assemble_shards(units, n_shards: int) -> list[list]:
     return shards
 
 
+def plan_shards(
+    units,
+    jobs: int,
+    shards: "int | None" = None,
+    cell_timeout: float = CELL_TIMEOUT,
+) -> "tuple[list[list], float]":
+    """The pool tasks for ``units`` and each task's time budget.
+
+    A serial run (``jobs == 1``) gets one in-process shard holding every
+    unit, so the prefill sweeps the whole suite at once.  Otherwise the
+    units are cut into ``shards`` batch-aware shards (default ``4 ×``
+    the worker count; :func:`assemble_shards`).  The budget, the
+    per-task timeout handed to :func:`~repro.engine.pool.resilient_map`,
+    is ``cell_timeout`` × the largest shard's pending-cell count.
+    """
+    if jobs == 1:
+        count = 1
+    else:
+        count = shards or 4 * (jobs or default_jobs())
+    planned = assemble_shards(units, count)
+    largest = max(
+        (sum(len(u[2]) for u in shard) for shard in planned), default=0
+    )
+    return planned, cell_timeout * largest
+
+
+def poisoned_rows(shard, error: str) -> list:
+    """One errored row per (item, checker) cell ``shard`` carried."""
+    return [
+        (name, checker.spec, False, 0.0, error)
+        for name, _payload, checkers, _telemetry in shard
+        for checker in checkers
+    ]
+
+
+def _run_checkers(
+    name: str,
+    payload: "LitmusTest | Execution",
+    checkers: "tuple[Checker, ...]",
+) -> "list[tuple[str, str, bool, float, str | None]]":
+    """Evaluate one test against several checkers.
+
+    Grouping by test means the candidate expansion is computed once and
+    shared by every checker via the per-process memo.
+
+    A checker that raises yields an errored cell instead of killing the
+    whole campaign — one bad (test, model) pair must not lose the other
+    verdicts of a long sweep.  The error is reported per cell and the
+    campaign's consumer decides (the CLI exits nonzero).
+    """
+    out = []
+    for checker in checkers:
+        tracer = trace.ACTIVE
+        if tracer is not None:
+            tracer.push(
+                "cell",
+                {"item": name, "model": checker.spec, "token": checker.token},
+            )
+        start = time.perf_counter()
+        try:
+            verdict = checker.verdict(payload)
+            error = None
+        except Exception as exc:
+            verdict = False
+            error = f"{type(exc).__name__}: {exc}"
+        finally:
+            if tracer is not None:
+                tracer.pop()
+        out.append(
+            (name, checker.spec, verdict, time.perf_counter() - start, error)
+        )
+    return out
+
+
 def _shard_rows(shard) -> list:
     """Cell rows for one shard: the batched prefill over the whole
     shard, then the per-cell path for whatever it left undecided."""
-    from .campaign import _run_checkers
-
     try:
         prefilled, covered = prefill_units(shard)
-    except Exception:
+    except Exception as exc:
         # The prefill is an optimisation; a crash in it must never cost
         # verdicts.  Every cell falls back to the per-cell path.
+        _fall_back("a whole shard", "the prefill", exc)
         prefilled, covered = [], set()
     rows = list(prefilled)
-    for name, payload, entries, _telemetry in shard:
+    for name, payload, checkers, _telemetry in shard:
         pending = (
-            tuple(
-                entry
-                for entry in entries
-                if (name, _spec_of(entry)) not in covered
-            )
+            tuple(c for c in checkers if (name, c.spec) not in covered)
             if covered
-            else entries
+            else checkers
         )
         if not pending:
             continue
         try:
             rows.extend(_run_checkers(name, payload, pending))
         except Exception as exc:
-            # A crash outside the checkers (expansion, resolution)
-            # poisons exactly this unit's cells, like the serial loop.
-            rows.extend(
-                (
-                    name,
-                    _spec_of(entry),
-                    False,
-                    0.0,
-                    f"{type(exc).__name__}: {exc}",
-                )
-                for entry in pending
-            )
+            # A crash outside the checkers poisons exactly this unit's
+            # pending cells.
+            error = f"{type(exc).__name__}: {exc}"
+            rows.extend((name, c.spec, False, 0.0, error) for c in pending)
     return rows
 
 
-def run_shard(shard) -> list:
-    """One pool task: a shard's units through the batched prefill plus
-    the per-cell fallback.
+def run_shard(shard) -> tuple:
+    """One pool task: a non-empty shard's units through the batched
+    prefill plus the per-cell fallback.
 
-    Module-level so it pickles.  Returns ``(rows, telemetry-snapshot)``
-    pairs in the same shape the per-unit task produces, so result loops
-    consume either interchangeably; the whole shard shares one
-    telemetry collection (the prefill's synthetic per-cell spans are
-    indistinguishable from per-unit ones downstream).
+    Module-level so it pickles.  Returns ``(rows, telemetry-snapshot)``;
+    rows have the shape ``(item, spec, verdict, elapsed, error)``.  When
+    the parent ran with telemetry on, the units are tagged and a pool
+    worker (whose telemetry was reset by the pool's initializer)
+    collects the shard's spans and metrics into an ephemeral bundle
+    whose snapshot comes home with the rows.  In process, the parent's
+    own collectors see the work and the snapshot is ``None``.
     """
-    if not shard:
-        return []
     if shard[0][3]:  # telemetry_on — uniform across a dispatch
-        from ..obs import telemetry as obs_telemetry
-
         with obs_telemetry.collect() as holder:
             rows = _shard_rows(shard)
-        return [(rows, holder.snapshot)]
-    return [(_shard_rows(shard), None)]
+        return rows, holder.snapshot
+    return _shard_rows(shard), None

@@ -52,6 +52,7 @@ __all__ = [
     "default_cache_dir",
     "fingerprint",
     "cache_key",
+    "cell_record",
 ]
 
 #: Bumped whenever the fingerprint scheme or record layout changes.
@@ -137,6 +138,17 @@ def cache_key(
     """
     text = f"v{CACHE_VERSION}:{item_fingerprint}:{model_spec}:{definition}"
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cell_record(verdict: bool, elapsed: float, item: str, model: str) -> dict:
+    """The stored record of one computed cell (the key is added by
+    :meth:`ResultCache.put`)."""
+    return {
+        "verdict": verdict,
+        "elapsed": round(elapsed, 6),
+        "item": item,
+        "model": model,
+    }
 
 
 # ----------------------------------------------------------------------

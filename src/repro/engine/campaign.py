@@ -12,9 +12,12 @@ cross-product cheap:
 2. every (test, model) cell is keyed by a content hash and served from
    the persistent :class:`~repro.engine.cache.ResultCache` when it has
    been computed before — re-runs are incremental;
-3. cache misses are dispatched to a chunked worker pool
-   (:func:`~repro.engine.pool.parallel_map`) with a deterministic
-   serial fallback — the verdict matrix is identical for any ``jobs``.
+3. cache misses run as batch-aware shards
+   (:func:`~repro.engine.batchsweep.plan_shards`) through
+   :func:`~repro.engine.pool.resilient_map`: one in-process shard when
+   serial, a worker pool otherwise — the verdict matrix is identical
+   for any ``jobs``.  A shard whose worker dies or overruns its budget
+   yields errored cells, never a lost campaign.
 
 :func:`run_campaign` returns a :class:`CampaignResult` with per-model
 verdict matrices, timing, cache accounting, and diff-vs-expected
@@ -23,20 +26,19 @@ summaries.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..core.execution import Execution
-from ..litmus.candidates import batch_size
 from ..litmus.test import LitmusTest
 from ..obs import metrics as obs_metrics
 from ..obs import telemetry as obs_telemetry
 from ..obs import trace
-from .cache import NullCache, ResultCache, cache_key, fingerprint
+from .batchsweep import plan_shards, poisoned_rows, run_shard
+from .cache import NullCache, ResultCache, cache_key, cell_record, fingerprint
 from .checkers import Checker, resolve_checker
-from .pool import default_jobs, parallel_map
+from .pool import PoisonedTask, resilient_map
 
 __all__ = [
     "CampaignItem",
@@ -118,7 +120,11 @@ class CellResult:
 
 @dataclass
 class CampaignResult:
-    """Everything one campaign run produced."""
+    """Everything one campaign run produced.
+
+    ``tokens`` maps each model spec to the definition token its cells
+    were keyed by (:attr:`~repro.engine.checkers.Checker.token`).
+    """
 
     item_names: list[str]
     model_specs: list[str]
@@ -126,6 +132,7 @@ class CampaignResult:
     elapsed: float
     cache_hits: int
     cache_misses: int
+    tokens: dict[str, str] = field(default_factory=dict)
 
     # -- views ----------------------------------------------------------
 
@@ -289,90 +296,6 @@ def _base_model_name(spec: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Worker
-# ----------------------------------------------------------------------
-
-
-#: Per-process memo of checker definition tokens (sha over a model's
-#: definition); keys cell spans without rehashing per cell.
-_TOKEN_CACHE: dict[str, str] = {}
-
-
-def _definition_token(checker: Checker) -> str:
-    token = _TOKEN_CACHE.get(checker.spec)
-    if token is None:
-        token = _TOKEN_CACHE[checker.spec] = checker.definition_hash()
-    return token
-
-
-def _run_checkers(
-    name: str,
-    payload: LitmusTest | Execution,
-    checkers: tuple[str | Checker, ...],
-) -> list[tuple[str, str, bool, float, str | None]]:
-    """Evaluate one test against several checkers.
-
-    Grouping by test means the candidate expansion is computed once and
-    shared by every checker via the per-process memo.  Checkers arrive
-    as spec strings (resolved locally, memoized per process) or as
-    ready-made :class:`Checker` instances.
-
-    A checker that raises yields an errored cell instead of killing the
-    whole campaign — one bad (test, model) pair must not lose the other
-    verdicts of a long sweep.  The error is reported per cell and the
-    campaign's consumer decides (the CLI exits nonzero).
-    """
-    out = []
-    for entry in checkers:
-        checker = entry if isinstance(entry, Checker) else resolve_checker(entry)
-        tracer = trace.ACTIVE
-        if tracer is not None:
-            tracer.push(
-                "cell",
-                {
-                    "item": name,
-                    "model": checker.spec,
-                    "token": _definition_token(checker),
-                },
-            )
-        start = time.perf_counter()
-        try:
-            verdict = checker.verdict(payload)
-            error = None
-        except Exception as exc:
-            verdict = False
-            error = f"{type(exc).__name__}: {exc}"
-        finally:
-            if tracer is not None:
-                tracer.pop()
-        out.append(
-            (name, checker.spec, verdict, time.perf_counter() - start, error)
-        )
-    return out
-
-
-def _run_unit(
-    unit: tuple[str, LitmusTest | Execution, tuple[str | Checker, ...], bool],
-) -> tuple[list[tuple[str, str, bool, float, str | None]], dict | None]:
-    """One worker task: run the unit's checkers, ship telemetry home.
-
-    When the parent ran with telemetry enabled the unit is tagged; a
-    pool worker (whose telemetry state was reset by the worker
-    initializer) then collects spans/metrics into an ephemeral local
-    bundle and returns its snapshot alongside the cell rows, so
-    worker-side stage time is merged fleet-wide instead of dropped.  On
-    the serial path :func:`repro.obs.telemetry.collect` is a no-op —
-    the parent's own collectors see the work directly.
-    """
-    name, payload, checkers, telemetry_on = unit
-    if telemetry_on:
-        with obs_telemetry.collect() as holder:
-            rows = _run_checkers(name, payload, checkers)
-        return rows, holder.snapshot
-    return _run_checkers(name, payload, checkers), None
-
-
-# ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
 
@@ -389,22 +312,25 @@ def run_campaign(
         items: the suite (see the ``*_suite`` constructors below).
         models: checker specs (:func:`~repro.engine.checkers.resolve_checker`)
             or ready-made :class:`Checker` instances.
-        jobs: worker processes; ``1`` = deterministic serial run in this
-            process, ``0`` = one per CPU.
+        jobs: worker processes; ``1`` = one in-process shard,
+            ``0`` = one per CPU.
         cache: persistent store; ``None`` disables caching.
+
+    Pending cells run as shards through
+    :func:`~repro.engine.pool.resilient_map`, with its one retry and a
+    budget of :data:`~repro.engine.batchsweep.CELL_TIMEOUT` per cell: a
+    shard whose worker dies or hangs yields errored cells.
     """
     items = list(items)
-    checkers = list(models)
-    for entry in checkers:
-        if not isinstance(entry, Checker):
-            resolve_checker(entry)  # fail fast on bad specs, before forking
-    models = [
-        entry.spec if isinstance(entry, Checker) else entry
-        for entry in checkers
-    ]
-    if len(set(models)) != len(models):
-        raise ValueError(f"duplicate model specs in {models}")
-    by_spec = dict(zip(models, checkers))
+    # Resolve once, before forking: bad specs fail fast.
+    checkers = tuple(
+        entry if isinstance(entry, Checker) else resolve_checker(entry)
+        for entry in models
+    )
+    specs = [checker.spec for checker in checkers]
+    if len(set(specs)) != len(specs):
+        raise ValueError(f"duplicate model specs in {specs}")
+    tokens = {checker.spec: checker.token for checker in checkers}
     cache = cache if cache is not None else NullCache()
     start = time.perf_counter()
 
@@ -418,139 +344,66 @@ def run_campaign(
 
     cells: dict[tuple[str, str], CellResult] = {}
     hits = 0
-    pending: dict[str, list[str]] = {}
     keys: dict[tuple[str, str], str] = {}
     caching = not isinstance(cache, NullCache)
-    definitions = (
-        {
-            spec: _definition_token(
-                entry if isinstance(entry, Checker) else resolve_checker(entry)
-            )
-            for spec, entry in by_spec.items()
-        }
-        if caching
-        else {}
-    )
+    telemetry_on = trace.ACTIVE is not None
+    units = []
     for item in items:
-        # Fingerprinting is the expensive per-item step; skip it
-        # entirely on uncached runs.
+        pending = checkers
         if caching:
+            # Fingerprinting is the expensive per-item step; uncached
+            # runs skip it entirely.
+            pending = []
             with trace.stage("cache"):
                 item_fp = fingerprint(item.payload)
-        else:
-            item_fp = None
-        for spec in models:
-            record = None
-            if caching:
+            for checker in checkers:
+                spec = checker.spec
                 with trace.stage("cache"):
-                    key = cache_key(item_fp, spec, definitions[spec])
-                    keys[(item.name, spec)] = key
+                    key = keys[(item.name, spec)] = cache_key(
+                        item_fp, spec, tokens[spec]
+                    )
                     record = cache.get(key)
-            if record is not None:
+                if record is None:
+                    pending.append(checker)
+                    continue
                 hits += 1
                 cells[(item.name, spec)] = CellResult(
                     bool(record["verdict"]),
                     float(record.get("elapsed", 0.0)),
                     cached=True,
                 )
-            else:
-                pending.setdefault(item.name, []).append(spec)
-
-    telemetry_on = trace.ACTIVE is not None
-    units = [
-        (
-            item.name,
-            item.payload,
-            tuple(by_spec[spec] for spec in pending[item.name]),
-            telemetry_on,
-        )
-        for item in items
-        if item.name in pending
-    ]
-
-    # Cross-item batched prefill (serial path): cells whose quantifier
-    # is decidable from a bounded candidate prefix are verdict-ed in
-    # universe-size buckets spanning the whole suite, so the compiled
-    # batch plans see hundreds of candidates per kernel call instead of
-    # one small test's worth.  Telemetry composes: the prefill records
-    # one synthetic per-cell span per decided cell (apportioned sweep
-    # time, same item/model/token attributes as the scalar path), and
-    # the result loop below feeds the same rows into the per-model
-    # latency histograms.
-    prefilled: list = []
-    if units and jobs == 1:
-        from .batchsweep import prefill_units
-
-        prefilled, covered = prefill_units(units)
-        if covered:
-            units = [
-                (
-                    name,
-                    payload,
-                    tuple(
-                        entry
-                        for entry in specs
-                        if (
-                            name,
-                            entry.spec
-                            if isinstance(entry, Checker)
-                            else entry,
-                        )
-                        not in covered
-                    ),
-                    tel,
-                )
-                for name, payload, specs, tel in units
-            ]
-            units = [unit for unit in units if unit[2]]
-    misses = sum(len(specs) for _, _, specs, _ in units) + len(prefilled)
+        if pending:
+            units.append(
+                (item.name, item.payload, tuple(pending), telemetry_on)
+            )
+    misses = sum(len(unit[2]) for unit in units)
 
     registry = obs_metrics.ACTIVE
-    if jobs != 1 and len(units) > 1 and batch_size() > 1:
-        # Batch-aware sharding (parallel path): instead of streaming
-        # one unit per pool task — which would leave every worker's
-        # prefill with a single item's worth of candidates — group
-        # same-universe units into contiguous shards and run the same
-        # cross-item prefill *inside each worker* over its whole shard.
-        # Each worker task returns the per-unit (rows, snapshot) shape,
-        # so the result loop below is shared with the per-unit path.
-        from .batchsweep import assemble_shards, run_shard
-
-        effective = jobs if jobs > 0 else default_jobs()
-        shards = assemble_shards(units, max(1, 4 * effective))
-        results = itertools.chain.from_iterable(
-            parallel_map(run_shard, shards, jobs=jobs, chunksize=1)
-        )
-    else:
-        results = parallel_map(_run_unit, units, jobs=jobs)
-    if prefilled:
-        results = itertools.chain([(prefilled, None)], results)
-    for rows, snap in results:
+    shards, budget = plan_shards(units, jobs)
+    outcomes = resilient_map(run_shard, shards, jobs=jobs, timeout=budget)
+    for shard, outcome in zip(shards, outcomes):
+        if isinstance(outcome, PoisonedTask):
+            outcome = (poisoned_rows(shard, outcome.error), None)
+        rows, snap = outcome
         # Worker-side telemetry (stage self-times, per-cell spans, IR
-        # counters) comes home with the chunk results; merging it here
-        # is what makes ``--profile``/manifests see ProcessPool time.
-        if snap is not None:
-            obs_telemetry.merge_snapshot(snap)
+        # counters) comes home with the shard's rows; merging it is what
+        # makes ``--profile``/manifests see pool time.
+        obs_telemetry.merge_snapshot(snap)
         for name, spec, verdict, elapsed, error in rows:
             cells[(name, spec)] = CellResult(
                 verdict, elapsed, cached=False, error=error
             )
-            if registry is not None and error is None:
+            if error is not None:
+                continue  # never cache a crash as a verdict
+            if registry is not None:
                 # Parent-side observation keeps latency percentiles
                 # exact for serial and parallel runs alike.
                 registry.histogram(f"cell_seconds:{spec}").observe(elapsed)
-            if error is not None:
-                continue  # never cache a crash as a verdict
             if caching:
                 with trace.stage("cache"):
                     cache.put(
                         keys[(name, spec)],
-                        {
-                            "verdict": verdict,
-                            "elapsed": round(elapsed, 6),
-                            "item": name,
-                            "model": spec,
-                        },
+                        cell_record(verdict, elapsed, name, spec),
                     )
 
     if telemetry_on:
@@ -565,11 +418,12 @@ def run_campaign(
 
     return CampaignResult(
         item_names=names,
-        model_specs=models,
+        model_specs=specs,
         cells=cells,
         elapsed=time.perf_counter() - start,
         cache_hits=hits,
         cache_misses=misses,
+        tokens=tokens,
     )
 
 

@@ -12,8 +12,10 @@ verdict:
   forall_holds`, with brute-force and machine counterparts);
 * for an execution, "is it consistent under the model?".
 
-Specs are plain strings so they cross process boundaries cheaply (the
-worker pool resolves them locally and memoizes the instantiation):
+Specs are plain strings, so the CLI, the service protocol and run
+manifests can name checkers.  A campaign resolves each spec once at
+entry (memoized per process) and carries the :class:`Checker` objects
+to its pool workers:
 
 =====================  =================================================
 ``x86``                native Python model from ``repro.models.registry``
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ..core.execution import Execution
 from ..litmus.candidates import forall_holds, observable
@@ -51,7 +53,6 @@ __all__ = [
     "OracleChecker",
     "definition_hash",
     "resolve_checker",
-    "spec_definition_hash",
 ]
 
 
@@ -98,6 +99,16 @@ class Checker:
     def definition_hash(self) -> str:
         """Hash of the underlying definition (see :func:`definition_hash`)."""
         return ""
+
+    @cached_property
+    def token(self) -> str:
+        """:meth:`definition_hash`, computed once per checker object.
+
+        Cache keys and cell spans carry it.  It is memoized on the
+        object, never by spec string: two checkers sharing a spec may
+        wrap different definitions, and must never share cells.
+        """
+        return self.definition_hash()
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.spec}>"
@@ -188,16 +199,6 @@ def _cat_file_for(name: str) -> str | None:
     if f"{name}.cat" in CAT_MODEL_FILES.values():
         return f"{name}.cat"
     return None
-
-
-@lru_cache(maxsize=None)
-def spec_definition_hash(spec: str) -> str:
-    """The resolved checker's definition hash, memoized per process.
-
-    Manifest building and cell-span keying hash the same definitions a
-    campaign keys its cache with; memoizing by spec string avoids
-    re-walking model sources per run."""
-    return resolve_checker(spec).definition_hash()
 
 
 @lru_cache(maxsize=None)

@@ -1,17 +1,18 @@
-"""Chunked process-pool execution with a deterministic serial fallback.
+"""Resilient process-pool execution with an in-process fallback.
 
-Every parallel path in the engine funnels through :func:`parallel_map`,
-which preserves input order (so results are identical for any worker
-count) and degrades to a plain in-process loop when ``jobs <= 1``, when
-there is only one task, or when the platform cannot fork worker
-processes (sandboxes, restricted CI runners).
+Every pool dispatch in the repository — campaign shards from
+``repro campaign`` and the campaign service alike, and Table 2's
+property checks — funnels through :func:`resilient_map`.  It preserves
+input order (so results are identical for any worker count) and
+degrades to a plain in-process loop when ``jobs <= 1``, when there is
+only one task, or when the platform cannot fork worker processes
+(sandboxes, restricted CI runners).
 
-The campaign service additionally needs *resilient* dispatch — a task
-that hangs or whose worker process dies must cost its own result, never
-the whole job.  :func:`resilient_map` submits tasks individually,
-bounds each with a timeout, retries a bounded number of times, and
-degrades a still-failing task to a :class:`PoisonedTask` marker the
-caller turns into poisoned cells.
+A task that hangs or whose worker process dies must cost its own
+result, never the whole run: tasks are submitted individually, each is
+bounded by a timeout, retried a bounded number of times, and a
+still-failing task degrades to a :class:`PoisonedTask` marker the caller
+turns into errored cells (or, for Table 2, an exception).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..obs import telemetry
 
-__all__ = ["parallel_map", "resilient_map", "default_jobs", "PoisonedTask"]
+__all__ = ["resilient_map", "default_jobs", "PoisonedTask"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -44,41 +45,10 @@ def _worker_init() -> None:
     Forked workers inherit the parent's telemetry objects; anything
     recorded into those copies would be silently lost.  Resetting here
     makes workers start observably *off*, so telemetry-tagged campaign
-    units collect into fresh local bundles and ship snapshots back with
-    their results (see :func:`repro.engine.campaign._run_unit`).
+    shards collect into fresh local bundles and ship snapshots back with
+    their results (see :func:`repro.engine.batchsweep.run_shard`).
     """
     telemetry.reset_worker_state()
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    tasks: Iterable[T],
-    jobs: int = 1,
-    chunksize: int | None = None,
-) -> list[R]:
-    """``[fn(t) for t in tasks]``, optionally across ``jobs`` processes.
-
-    Results are returned in task order regardless of worker count, so
-    callers see identical output from serial and parallel runs.  ``fn``
-    and the tasks must be picklable when ``jobs > 1``.
-    """
-    items: Sequence[T] = list(tasks)
-    if jobs == 0:
-        jobs = default_jobs()
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(t) for t in items]
-    workers = min(jobs, len(items))
-    if chunksize is None:
-        # ~4 chunks per worker balances scheduling overhead and skew.
-        chunksize = max(1, len(items) // (workers * 4))
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init
-        ) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
-    except (OSError, PermissionError):
-        # No subprocess support here; fall back to the serial path.
-        return [fn(t) for t in items]
 
 
 class PoisonedTask:

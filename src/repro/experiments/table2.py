@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..engine.pool import parallel_map
+from ..engine.pool import PoisonedTask, resilient_map
 from ..metatheory.compilation import check_compilation
 from ..metatheory.lockelision import check_lock_elision
 from ..metatheory.monotonicity import check_monotonicity
@@ -86,6 +86,8 @@ def run_table2(
     The property checks are independent, so they run through the
     engine's worker pool; ``jobs=1`` keeps the deterministic serial
     path and any worker count produces the same rows in the same order.
+    A check that raises (or whose worker dies) raises here: a table
+    with a missing row is not a result.
     """
     monotonicity_bounds = monotonicity_bounds or {
         "x86": 3,
@@ -108,7 +110,11 @@ def run_table2(
     ):
         tasks.append(("Lock elision", arch, 0, fixed, time_budget))
 
-    return parallel_map(_run_property_check, tasks, jobs=jobs)
+    rows = resilient_map(_run_property_check, tasks, jobs=jobs, retries=0)
+    for task, row in zip(tasks, rows):
+        if isinstance(row, PoisonedTask):
+            raise RuntimeError(f"{task[0]} on {task[1]} failed: {row.error}")
+    return rows
 
 
 def format_table2(rows: list[Table2Row]) -> str:

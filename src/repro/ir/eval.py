@@ -54,6 +54,7 @@ class EvalStats:
         "batch_computes",
         "batch_candidates",
         "kernel_build_failures",
+        "prefill_fallbacks",
     )
 
     def __init__(self) -> None:
@@ -70,6 +71,9 @@ class EvalStats:
         #: ``(definition_token, n)`` kernels that failed to build, whose
         #: stacks therefore fell back to the scalar path.
         self.kernel_build_failures = 0
+        #: Steps of the campaign prefill (:mod:`repro.engine.batchsweep`)
+        #: that raised and sent their cells to the per-cell path.
+        self.prefill_fallbacks = 0
 
 
 STATS = EvalStats()

@@ -90,10 +90,10 @@ _BATCH_OVERRIDE: int | None = None
 def set_batch_size(size: "int | None") -> None:
     """Set the candidate chunk size for batched checking.
 
-    ``0`` (or ``1``) selects the scalar per-candidate path; ``None``
-    restores the default (the ``REPRO_BATCH`` environment variable,
-    else :data:`DEFAULT_BATCH_SIZE`).  The CLI's ``--batch`` flag and
-    the differential tests route through here.
+    ``0`` (or ``1``) selects the scalar reference path; ``None``
+    restores :data:`DEFAULT_BATCH_SIZE`.  The scalar-vs-batched
+    differential tests and benchmarks route through here; forked pool
+    workers inherit the setting.
     """
     global _BATCH_OVERRIDE
     if size is not None and size < 0:
@@ -105,12 +105,6 @@ def batch_size() -> int:
     """The effective candidate chunk size (see :func:`set_batch_size`)."""
     if _BATCH_OVERRIDE is not None:
         return _BATCH_OVERRIDE
-    raw = os.environ.get("REPRO_BATCH")
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
     return DEFAULT_BATCH_SIZE
 
 

@@ -198,17 +198,6 @@ class MemoryModel:
         consumer falls back to the scalar path)."""
         return None
 
-    def consistent_batch(self, executions) -> "list[bool] | None":
-        """:meth:`consistent` over a stack of same-universe executions,
-        evaluated through the batched kernels; ``None`` when the
-        model has no batchable definition."""
-        definition = self.batch_definition()
-        if definition is None:
-            return None
-        from ..ir.plan import consistent_batch
-
-        return consistent_batch(self, definition, executions)
-
     def consistent(self, x: "Execution | CandidateAnalysis") -> bool:
         """Fast yes/no consistency (short-circuits on first failure)."""
         if trace.ACTIVE is not None:

@@ -393,13 +393,15 @@ def _latency_from(metrics_snap: dict) -> dict:
     return latency
 
 
-def _definition_tokens(specs) -> dict:
+def _definition_token(spec: str) -> str:
+    """The definition token of the checker ``spec`` names, or ``""``
+    when it does not resolve."""
     try:
-        from ..engine.checkers import spec_definition_hash
+        from ..engine.checkers import resolve_checker
 
-        return {spec: spec_definition_hash(spec) for spec in specs}
+        return resolve_checker(spec).token
     except Exception:
-        return {spec: "" for spec in specs}
+        return ""
 
 
 def from_campaign(
@@ -445,8 +447,6 @@ def from_campaign(
         **cache_stats,
     }
 
-    definitions = _definition_tokens(result.model_specs)
-
     return RunManifest(
         kind=kind,
         label=label,
@@ -460,7 +460,7 @@ def from_campaign(
             "digest": _suite_digest(result.item_names),
             **(extra or {}),
         },
-        models=definitions,
+        models=dict(result.tokens),
         verdicts={
             "cells": cells,
             "digest": _verdict_digest(result.cells),
@@ -526,7 +526,7 @@ def from_fuzz(
             "digest": _suite_digest(sorted(names)),
             **(extra or {}),
         },
-        models=_definition_tokens(report.checkers),
+        models={spec: _definition_token(spec) for spec in report.checkers},
         verdicts={
             "cells": len(cells),
             "digest": _verdict_digest(cells),

@@ -8,14 +8,14 @@ reports evaluator work *since enable* rather than since import.
 
 Cross-process flow (the campaign engine's worker protocol):
 
-1. the parent enables telemetry and dispatches units tagged
-   ``telemetry=True``;
+1. the parent enables telemetry and dispatches shards whose units are
+   tagged ``telemetry=True``;
 2. pool workers start with :func:`reset_worker_state` (installed as the
    ProcessPool initializer), so a forked child never records into an
    inherited copy of the parent's tracer;
-3. each tagged unit runs under :func:`collect`, which enables an
+3. each tagged shard runs under :func:`collect`, which enables an
    ephemeral local bundle and returns its combined snapshot with the
-   unit's results;
+   shard's results;
 4. the parent folds every returned snapshot in with
    :func:`merge_snapshot` — stage self-times, counters, histograms and
    spans recorded inside workers all land in the parent's bundle.
@@ -88,6 +88,7 @@ def _ir_totals() -> dict[str, int]:
         "ir_batch_computes": STATS.batch_computes,
         "ir_batch_candidates": STATS.batch_candidates,
         "ir_kernel_build_failures": STATS.kernel_build_failures,
+        "ir_prefill_fallbacks": STATS.prefill_fallbacks,
     }
 
 
@@ -136,8 +137,8 @@ def reset_worker_state() -> None:
 
     Forked children inherit the parent's ``ACTIVE`` objects; recording
     into those copies would be silently lost.  Installed as the worker
-    initializer by :func:`repro.engine.pool.parallel_map`, this resets
-    the guards so tagged units create their own collectors and ship
+    initializer by :func:`repro.engine.pool.resilient_map`, this resets
+    the guards so tagged shards create their own collectors and ship
     snapshots home instead.
     """
     global _ACTIVE
@@ -157,10 +158,10 @@ class _Collection:
 
 @contextmanager
 def collect(ring: int = 1024) -> Iterator[_Collection]:
-    """Ephemeral telemetry around one worker unit.
+    """Ephemeral telemetry around one pool task (a campaign shard).
 
-    If telemetry is already active in this process (the serial path —
-    the parent's own collectors see the work directly), this is a
+    If telemetry is already active in this process (an in-process shard
+    — the parent's own collectors see the work directly), this is a
     no-op and the holder's snapshot stays ``None``.
     """
     holder = _Collection()

@@ -14,15 +14,13 @@ A ``JobSpec``::
              | {"kind": "diy", "arch": "x86", "vocab": null, "length": 3}
              | {"kind": "catalog", "names": null, "tags": null},
      "models": ["x86", "x86tm"],
-     "options": {"cell_timeout": 60.0, "retries": 1, "shards": null,
-                 "batch": null}}
+     "options": {"cell_timeout": 60.0, "retries": 1, "shards": null}}
 
-``batch`` overrides the candidate chunk size for the batched
-consistency kernels for this job (``0`` selects the scalar path);
-``null`` keeps the server's environment default.  It never changes
-verdicts — the batched kernels are differentially tested bit-identical
-to the scalar path — so cached cells stay valid across jobs with
-different settings.  Unknown options are ignored.
+``cell_timeout`` (default :data:`~repro.engine.batchsweep.CELL_TIMEOUT`)
+scales each shard's time budget, ``retries`` bounds the re-runs of a
+shard whose worker died or hung, and ``shards`` overrides the number of
+pool tasks.  Unknown options — such as the retired ``batch`` and
+``codegen`` knobs older clients still send — are ignored.
 
 Job lifecycle: ``queued`` → ``running`` → ``done`` | ``failed``.  A job
 *fails* only when its suite cannot be built (bad paths, bad model
@@ -33,6 +31,8 @@ cells inside a ``done`` job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from ..engine.batchsweep import CELL_TIMEOUT
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -65,10 +65,9 @@ class JobSpec:
 
     suite: dict
     models: list[str]
-    cell_timeout: float = 60.0
+    cell_timeout: float = CELL_TIMEOUT
     retries: int = 1
     shards: int | None = None
-    batch: int | None = None
     label: str = ""
 
     @classmethod
@@ -102,12 +101,10 @@ class JobSpec:
         if not isinstance(options, dict):
             raise SpecError("'options' must be an object")
         try:
-            cell_timeout = float(options.get("cell_timeout", 60.0))
+            cell_timeout = float(options.get("cell_timeout", CELL_TIMEOUT))
             retries = int(options.get("retries", 1))
             shards = options.get("shards")
             shards = None if shards is None else int(shards)
-            batch = options.get("batch")
-            batch = None if batch is None else int(batch)
         except (TypeError, ValueError) as exc:
             raise SpecError(f"bad option value: {exc}") from None
         if cell_timeout <= 0:
@@ -116,8 +113,6 @@ class JobSpec:
             raise SpecError("retries must be >= 0")
         if shards is not None and shards < 1:
             raise SpecError("shards must be >= 1")
-        if batch is not None and batch < 0:
-            raise SpecError("batch must be >= 0")
         label = str(data.get("label", "") or "")
         return cls(
             suite=dict(suite),
@@ -125,7 +120,6 @@ class JobSpec:
             cell_timeout=cell_timeout,
             retries=retries,
             shards=shards,
-            batch=batch,
             label=label,
         )
 
@@ -137,7 +131,6 @@ class JobSpec:
                 "cell_timeout": self.cell_timeout,
                 "retries": self.retries,
                 "shards": self.shards,
-                "batch": self.batch,
             },
             "label": self.label,
         }

@@ -10,15 +10,18 @@ telemetry bundle stays unambiguous.  Within a job:
   processes (or previous jobs) since the last read are served as cached
   cells immediately — concurrent clients submitting overlapping suites
   dedupe fleet-wide through the shared store;
-* pending units are sharded round-robin across the pool and dispatched
-  via :func:`~repro.engine.pool.resilient_map` with a per-shard timeout
-  budget of ``cell_timeout × cells-in-shard`` and bounded retries; a
-  shard whose worker dies or hangs past its budget degrades to
-  *poisoned* cells (``error`` set, verdict ``False``, never cached) —
-  one bad checker can poison its cells, never the job;
-* results stream into the job's append-only cell log as they land, so
-  clients poll with a cursor (``since``) and see cells while the job
-  still runs;
+* pending cells run exactly as in :func:`~repro.engine.campaign.
+  run_campaign`: :func:`~repro.engine.batchsweep.plan_shards` cuts the
+  units into batch-aware shards (one in-process shard at ``jobs=1``)
+  and :func:`~repro.engine.pool.resilient_map` runs them with a
+  per-shard timeout budget of ``cell_timeout ×`` the largest shard's
+  cell count and bounded retries; a shard whose worker dies or hangs
+  past its budget degrades to *poisoned* cells (``error`` set, verdict
+  ``False``, never cached) — one bad checker can poison its shard's
+  cells, never the job;
+* cells stream into the job's append-only cell log shard by shard as
+  they land (cached cells first), so clients poll with a cursor
+  (``since``) and see cells while the job still runs;
 * on completion the job writes a run manifest (keyed by the job id)
   with verdict/cache/stage/latency aggregates.
 
@@ -33,15 +36,17 @@ import threading
 import time
 
 from ..engine import batchsweep
-from ..engine.cache import NullCache, ResultCache, cache_key, fingerprint
-from ..engine.campaign import (
-    CampaignResult,
-    CellResult,
-    _definition_token,
-    _run_unit,
+from ..engine.cache import (
+    NullCache,
+    ResultCache,
+    cache_key,
+    cell_record,
+    fingerprint,
 )
-from ..engine.checkers import Checker, resolve_checker
-from ..engine.pool import PoisonedTask, default_jobs, resilient_map
+from ..engine.campaign import CampaignResult, CellResult
+from ..engine.checkers import resolve_checker
+from ..engine.pool import PoisonedTask, resilient_map
+from ..litmus.candidates import batch_size
 from ..obs import manifest as obs_manifest
 from ..obs import metrics as obs_metrics
 from ..obs import telemetry as obs_telemetry
@@ -55,21 +60,9 @@ def _run_shard(shard):
     """One pool task: the shard's units through the batched prefill
     (:func:`~repro.engine.batchsweep.run_shard`) plus the per-cell
     fallback.  Module-level so it pickles; returns ``(rows,
-    telemetry-snapshot)`` pairs in the per-unit shape.
+    telemetry-snapshot)``.
     """
     return batchsweep.run_shard(shard)
-
-
-def _spec_of(entry) -> str:
-    return entry.spec if isinstance(entry, Checker) else str(entry)
-
-
-def _effective_batch(spec: JobSpec) -> int:
-    if spec.batch is not None:
-        return spec.batch
-    from ..litmus.candidates import batch_size
-
-    return batch_size()
 
 
 class Job:
@@ -155,14 +148,15 @@ class CampaignService:
     docstring for the execution model).
 
     Args:
-        jobs: worker processes per campaign (``1`` = serial in the
-            scheduler thread, with the batched prefill; ``0`` = one per
-            CPU).
+        jobs: worker processes per campaign (``1`` = one in-process
+            shard in the scheduler thread, delivered when it finishes;
+            ``0`` = one per CPU).
         cell_timeout: default per-cell seconds a submit may override;
-            a shard's budget is ``cell_timeout × its cell count``.
+            a shard's budget is ``cell_timeout ×`` the largest shard's
+            cell count.
         retries: default re-runs for a shard whose worker died or hung.
-        shards: pool tasks per job (default ``4 × jobs``, capped by the
-            unit count).
+        shards: pool tasks per job when ``jobs != 1`` (default
+            ``4 × jobs``, capped by the unit count).
         cache: a ready :class:`ResultCache`/:class:`NullCache`; built
             from ``cache_dir`` when omitted.
         runs_dir: manifest directory (``.repro-cache/runs`` default).
@@ -173,7 +167,7 @@ class CampaignService:
     def __init__(
         self,
         jobs: int = 1,
-        cell_timeout: float = 60.0,
+        cell_timeout: float = batchsweep.CELL_TIMEOUT,
         retries: int = 1,
         shards: int | None = None,
         cache=None,
@@ -325,7 +319,6 @@ class CampaignService:
         spec = job.spec
         items = suite_items(spec.suite)  # SpecError -> failed job
         checkers = [resolve_checker(model) for model in spec.models]
-        by_spec = dict(zip(spec.models, checkers))
         names = [item.name for item in items]
         if len(set(names)) != len(names):
             raise SpecError("duplicate item names in suite")
@@ -340,18 +333,18 @@ class CampaignService:
             self.metrics.counter("cache_records_refreshed").inc(folded)
 
         caching = not isinstance(self.cache, NullCache)
-        definitions = {
-            model: _definition_token(checker)
-            for model, checker in by_spec.items()
-        }
+        tokens = {checker.spec: checker.token for checker in checkers}
         keys: dict[tuple[str, str], str] = {}
-        pending: dict[str, list[str]] = {}
+        telemetry_on = trace.ACTIVE is not None
+        units = []
         for item in items:
             item_fp = fingerprint(item.payload) if caching else None
-            for model in spec.models:
+            pending = []
+            for checker in checkers:
+                model = checker.spec
                 record = None
                 if caching:
-                    key = cache_key(item_fp, model, definitions[model])
+                    key = cache_key(item_fp, model, tokens[model])
                     keys[(item.name, model)] = key
                     record = self.cache.get(key)
                 if record is not None:
@@ -367,54 +360,38 @@ class CampaignService:
                         },
                     )
                 else:
-                    pending.setdefault(item.name, []).append(model)
+                    pending.append(checker)
+            if pending:
+                units.append(
+                    (item.name, item.payload, tuple(pending), telemetry_on)
+                )
 
-        telemetry_on = trace.ACTIVE is not None
-        by_name = {item.name: item for item in items}
-        units = [
-            (
-                name,
-                by_name[name].payload,
-                tuple(by_spec[model] for model in models),
-                telemetry_on,
-            )
-            for name, models in pending.items()
-        ]
+        shards, budget = batchsweep.plan_shards(
+            units,
+            self.jobs,
+            spec.shards or self.shards,
+            spec.cell_timeout,
+        )
+        outcomes = resilient_map(
+            _run_shard,
+            shards,
+            jobs=self.jobs,
+            timeout=budget,
+            retries=spec.retries,
+        )
+        for shard, outcome in zip(shards, outcomes):
+            poisoned = isinstance(outcome, PoisonedTask)
+            if poisoned:
+                self.metrics.counter("shards_poisoned").inc()
+                rows = batchsweep.poisoned_rows(shard, outcome.error)
+                outcome = (rows, None)
+            rows, snap = outcome
+            obs_telemetry.merge_snapshot(snap)
+            self._deliver_rows(job, rows, keys, caching, poisoned)
 
-        # The per-job batch size is a process global (workers fork at
-        # dispatch time and inherit it), applied for exactly this job's
-        # span — jobs are executed one at a time, so there is no
-        # cross-job bleed.  It picks an evaluation path, never a
-        # verdict: batched and scalar are differentially tested
-        # bit-identical, so cached cells stay valid either way.
-        from ..litmus.candidates import set_batch_size
+        self._finish(job, items, spec.models, tokens)
 
-        try:
-            if spec.batch is not None:
-                set_batch_size(spec.batch)
-            if self.jobs == 1:
-                self._run_serial(job, units, keys, caching)
-            else:
-                self._run_sharded(job, units, keys, caching)
-        finally:
-            if spec.batch is not None:
-                set_batch_size(None)
-
-        self._finish(job, items, spec.models)
-
-    def _cache_row(self, job, keys, caching, name, model, verdict, elapsed):
-        if caching:
-            self.cache.put(
-                keys[(name, model)],
-                {
-                    "verdict": verdict,
-                    "elapsed": round(elapsed, 6),
-                    "item": name,
-                    "model": model,
-                },
-            )
-
-    def _deliver_rows(self, job: Job, rows, keys, caching) -> None:
+    def _deliver_rows(self, job: Job, rows, keys, caching, poisoned) -> None:
         for name, model, verdict, elapsed, error in rows:
             self._deliver(
                 job,
@@ -425,107 +402,16 @@ class CampaignService:
                     "elapsed": elapsed,
                     "cached": False,
                     "error": error,
+                    "poisoned": poisoned,
                 },
             )
-            if error is None:  # never cache a crash as a verdict
-                self._cache_row(
-                    job, keys, caching, name, model, verdict, elapsed
+            if caching and error is None:  # never cache a crash
+                self.cache.put(
+                    keys[(name, model)],
+                    cell_record(verdict, elapsed, name, model),
                 )
 
-    def _run_serial(self, job: Job, units, keys, caching) -> None:
-        """jobs == 1: the batched prefill plus a streaming per-unit
-        loop.  A checker crash is already a per-cell error row; a crash
-        *outside* the checker (expansion, resolution) poisons exactly
-        its unit's cells.  Timeouts are not preemptible in-process."""
-        if units:
-            from ..engine.batchsweep import prefill_units
-
-            prefilled, covered = prefill_units(units)
-            if covered:
-                self._deliver_rows(job, prefilled, keys, caching)
-                units = [
-                    (
-                        name,
-                        payload,
-                        tuple(
-                            entry
-                            for entry in specs
-                            if (name, _spec_of(entry)) not in covered
-                        ),
-                        tel,
-                    )
-                    for name, payload, specs, tel in units
-                ]
-                units = [unit for unit in units if unit[2]]
-        for unit in units:
-            try:
-                rows, snap = _run_unit(unit)
-            except Exception as exc:
-                rows = [
-                    (
-                        unit[0],
-                        _spec_of(entry),
-                        False,
-                        0.0,
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                    for entry in unit[2]
-                ]
-                snap = None
-            obs_telemetry.merge_snapshot(snap)
-            self._deliver_rows(job, rows, keys, caching)
-
-    def _run_sharded(self, job: Job, units, keys, caching) -> None:
-        """jobs != 1: batch-aware shards over ``resilient_map``.
-
-        Shards are assembled by :func:`~repro.engine.batchsweep.
-        assemble_shards` — units sorted by estimated universe size and
-        cut into contiguous cell-balanced chunks — so each worker's
-        batched prefill sweeps whole universe buckets instead of the
-        one-of-each scatter round-robin produced.  The retry/poison
-        granularity is the shard — the unit of pool dispatch.  A
-        poisoned shard yields one poisoned cell per (item, model) pair
-        it carried; the rest of the job is unaffected.
-        """
-        if not units:
-            return
-        spec = job.spec
-        worker_count = self.jobs or default_jobs()
-        n_shards = spec.shards or self.shards or max(1, 4 * worker_count)
-        shard_list = batchsweep.assemble_shards(units, n_shards)
-        budget = spec.cell_timeout * max(
-            sum(len(u[2]) for u in shard) for shard in shard_list
-        )
-        outcomes = resilient_map(
-            _run_shard,
-            shard_list,
-            jobs=self.jobs,
-            timeout=budget,
-            retries=spec.retries,
-        )
-        for shard, outcome in zip(shard_list, outcomes):
-            if isinstance(outcome, PoisonedTask):
-                self.metrics.counter("shards_poisoned").inc()
-                for name, _payload, entries, _tel in shard:
-                    for entry in entries:
-                        self._deliver(
-                            job,
-                            {
-                                "item": name,
-                                "model": _spec_of(entry),
-                                "verdict": False,
-                                "elapsed": 0.0,
-                                "cached": False,
-                                "error": outcome.error,
-                                "poisoned": True,
-                            },
-                        )
-                continue
-            for rows, snap in outcome:
-                obs_telemetry.merge_snapshot(snap)
-                self._deliver_rows(job, rows, keys, caching)
-
-    def _finish(self, job: Job, items, models) -> None:
+    def _finish(self, job: Job, items, models, tokens) -> None:
         """Assemble the campaign-result view, write the job manifest,
         and flip the job to ``done``."""
         cells = {
@@ -544,6 +430,7 @@ class CampaignService:
             elapsed=job.elapsed,
             cache_hits=job.cached_cells,
             cache_misses=job.computed_cells,
+            tokens=tokens,
         )
         diffs = len(result.diffs(items))
         manifest_path = None
@@ -558,9 +445,9 @@ class CampaignService:
                 extra={
                     "job": job.id,
                     "poisoned": job.poisoned_cells,
-                    # The effective batch size, so a manifest records
-                    # which path produced its timings.
-                    "batch": _effective_batch(job.spec),
+                    # The batch size, so a manifest records which path
+                    # produced its timings.
+                    "batch": batch_size(),
                 },
             )
             manifest_path = str(

@@ -38,8 +38,9 @@ from repro.conformance.seeds import derive_seed, reproducible_seed
 from repro.core.analysis import analyze
 from repro.core.execution import Execution
 from repro.core.relation import Relation
-from repro.engine.batchsweep import assemble_shards, run_shard
+from repro.engine.batchsweep import assemble_shards, plan_shards, run_shard
 from repro.engine.campaign import litmus_suite, run_campaign
+from repro.engine.checkers import resolve_checker
 from repro.ir import nodes as N
 from repro.ir.batch import HAVE_NUMPY, BatchContext, pack_relations, pack_sets
 from repro.ir.eval import STATS, axiom_holds, evaluate
@@ -392,6 +393,81 @@ class TestCampaignDifferential:
             assert sum(f"{token} at n={n} " in m for m in messages) == 1
 
 
+class TestPrefillFallbacks:
+    """A prefill step that raises sends its cells to the per-cell path:
+    verdicts unchanged, the fallback counted (``ir_prefill_fallbacks``
+    in the telemetry a manifest is built from) and warned about."""
+
+    SPECS = ["x86", "sc"]
+
+    @staticmethod
+    def _x86_corpus():
+        return litmus_suite(
+            sorted(str(p) for p in CORPUS.glob("x86/*.litmus"))
+        )
+
+    @staticmethod
+    def _fallback_warnings(caught):
+        return [
+            w
+            for w in caught
+            if issubclass(w.category, RuntimeWarning)
+            and "batched prefill fell back" in str(w.message)
+        ]
+
+    def test_kernel_exception_is_counted_and_warned(self, monkeypatch):
+        items = self._x86_corpus()
+        scalar = _campaign_verdicts(items, self.SPECS, 0)
+        target = resolve_checker("x86").model
+        real = plan.consistent_on
+        raised = []
+
+        def flaky(model, definition, ctx):
+            # One transient kernel fault: the prefill must stop sweeping
+            # this model, and its per-cell path must still decide it.
+            if model is target and not raised:
+                raised.append(ctx)
+                raise RuntimeError("kernel fault")
+            return real(model, definition, ctx)
+
+        monkeypatch.setattr(plan, "consistent_on", flaky)
+        before = STATS.prefill_fallbacks
+        bundle = telemetry.enable()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                batched = _campaign_verdicts(items, self.SPECS, 64)
+        finally:
+            telemetry.disable()
+        assert raised, "the prefill never swept the target model"
+        assert batched == scalar
+        assert STATS.prefill_fallbacks - before == 1
+        counters = bundle.snapshot(spans=False)["trace"]["counters"]
+        assert counters["ir_prefill_fallbacks"] == 1
+        (warning,) = self._fallback_warnings(caught)
+        assert "x86" in str(warning.message)
+
+    def test_prefill_crash_in_a_serial_campaign_falls_back(
+        self, monkeypatch
+    ):
+        from repro.engine import batchsweep
+
+        items = self._x86_corpus()
+        scalar = _campaign_verdicts(items, self.SPECS, 0)
+
+        def crash(units):
+            raise RuntimeError("collect fault")
+
+        monkeypatch.setattr(batchsweep, "_collect", crash)
+        before = STATS.prefill_fallbacks
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batched = _campaign_verdicts(items, self.SPECS, 64)
+        assert batched == scalar
+        assert STATS.prefill_fallbacks - before == 1
+        assert len(self._fallback_warnings(caught)) == 1
+
+
 # ----------------------------------------------------------------------
 # Batch floor
 # ----------------------------------------------------------------------
@@ -434,11 +510,12 @@ class TestKernelFloor:
 def _units(k):
     """k campaign units over catalog executions (varied universes)."""
     entries = sorted(CATALOG.items())
+    checkers = (resolve_checker("x86"), resolve_checker("sc"))
     return [
         (
             f"u{i:03d}-{entries[i % len(entries)][0]}",
             entries[i % len(entries)][1].execution,
-            ("x86", "sc"),
+            checkers,
             False,
         )
         for i in range(k)
@@ -474,17 +551,49 @@ class TestShardAssembly:
     def test_empty(self):
         assert assemble_shards([], 4) == []
 
+    def test_plan_serial_is_one_shard_of_every_unit(self):
+        units = _units(17)
+        shards, _budget = plan_shards(units, jobs=1)
+        assert shards == [units]
+        # An explicit shard count only applies to pool runs.
+        assert plan_shards(units, jobs=1, shards=5)[0] == [units]
+
+    def test_plan_parallel_is_four_shards_per_worker(self):
+        units = _units(40)
+        shards, _budget = plan_shards(units, jobs=2)
+        assert 1 < len(shards) <= 8
+        assert all(shards)
+        assert sorted(u[0] for s in shards for u in s) == sorted(
+            u[0] for u in units
+        )
+
+    def test_plan_explicit_shard_count_wins(self):
+        shards, _budget = plan_shards(_units(40), jobs=2, shards=3)
+        assert len(shards) == 3
+
+    def test_plan_budget_scales_the_largest_shard(self):
+        # Units carrying one or two pending cells, so shards differ.
+        units = [
+            (name, payload, checkers[: 1 + i % 2], tel)
+            for i, (name, payload, checkers, tel) in enumerate(_units(11))
+        ]
+        shards, budget = plan_shards(units, jobs=2, cell_timeout=1.5)
+        largest = max(sum(len(u[2]) for u in s) for s in shards)
+        assert budget == 1.5 * largest
+        _shards, serial_budget = plan_shards(units, jobs=1, cell_timeout=2.0)
+        assert serial_budget == 2.0 * sum(len(u[2]) for u in units)
+        assert plan_shards([], jobs=2) == ([], 0.0)
+
     def test_run_shard_matches_serial_verdicts(self):
         units = _units(9)
         serial = {
             (name, spec): verdict
             for unit in units
-            for name, spec, verdict, _t, _e in run_shard([unit])[0][0]
+            for name, spec, verdict, _t, _e in run_shard([unit])[0]
         }
         batched = {
             (name, spec): verdict
-            for rows, _snap in run_shard(units)
-            for name, spec, verdict, _t, _e in rows
+            for name, spec, verdict, _t, _e in run_shard(units)[0]
         }
         assert batched == serial
 

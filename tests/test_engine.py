@@ -1,6 +1,7 @@
 """Tests for the campaign engine: caching, parallelism, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -15,11 +16,11 @@ from repro.engine import (
     diy_suite,
     execution_suite,
     fingerprint,
-    parallel_map,
     resolve_checker,
     run_campaign,
 )
 from repro.engine.checkers import ModelChecker, OracleChecker
+from repro.engine.pool import resilient_map
 from repro.litmus.candidates import expand_program, observable
 from repro.litmus.from_execution import to_litmus
 from repro.models.registry import get_model
@@ -192,6 +193,73 @@ class TestRunCampaign:
         assert result.model_specs == ["custom-x86"]
 
 
+class TestDefinitionTokens:
+    """Cells are keyed by each checker object's own definition: a
+    checker reusing another definition's spec string is never served
+    that definition's cached verdicts."""
+
+    def test_same_spec_other_definition_misses_the_cache(self, tmp_path):
+        items = catalog_suite()
+        cache = ResultCache(tmp_path)
+        stock = run_campaign(items, ["x86"], cache=cache)
+        impostor = ModelChecker("x86", get_model("sc"))
+        served = run_campaign(items, [impostor], cache=cache)
+        fresh = run_campaign(items, [ModelChecker("x86", get_model("sc"))])
+        assert served.cache_hits == 0
+        assert served.matrix() == fresh.matrix()
+        assert served.matrix() != stock.matrix()  # the scenario has teeth
+        assert served.tokens == {"x86": impostor.token}
+        assert impostor.token != resolve_checker("x86").token
+
+    def test_manifest_records_the_tokens_cells_were_keyed_by(self):
+        from repro.obs.manifest import from_campaign
+
+        impostor = ModelChecker("x86", get_model("sc"))
+        result = run_campaign(catalog_suite()[:3], [impostor])
+        assert from_campaign(result).models == {"x86": impostor.token}
+
+
+class _ExitOn(ModelChecker):
+    """Kills the process running it on one test (module level, so the
+    pool can pickle it)."""
+
+    def __init__(self, victim: str) -> None:
+        super().__init__("exit", get_model("sc"))
+        self.victim = victim
+
+    def verdict(self, payload):
+        if payload.name == self.victim:
+            os._exit(13)
+        return super().verdict(payload)
+
+
+class TestWorkerDeath:
+    def test_dead_worker_poisons_its_cells_not_the_campaign(self, tmp_path):
+        # At most 8 items: at jobs=2 every item gets a shard of its own.
+        suite = diy_suite("x86", max_length=2)
+        victim = suite[1].name
+        cache = ResultCache(tmp_path)
+        result = run_campaign(
+            suite, [_ExitOn(victim), "x86"], jobs=2, cache=cache
+        )
+        serial = run_campaign(
+            suite, [ModelChecker("exit", get_model("sc")), "x86"], jobs=1
+        )
+        bad = {key for key, cell in result.cells.items() if cell.error}
+        assert bad == {(victim, "exit"), (victim, "x86")}
+        assert all("died" in result.cells[key].error for key in bad)
+        assert len(cache) == len(result.cells) - len(bad)
+        assert {
+            key: cell.verdict
+            for key, cell in result.cells.items()
+            if key not in bad
+        } == {
+            key: cell.verdict
+            for key, cell in serial.cells.items()
+            if key not in bad
+        }
+
+
 class TestSuites:
     def test_catalog_suite_expected_diffs(self):
         items = catalog_suite(names=["fig2"])
@@ -299,10 +367,10 @@ class TestMemoization:
 
 class TestParallelMap:
     def test_serial_path(self):
-        assert parallel_map(abs, [-1, 2, -3], jobs=1) == [1, 2, 3]
+        assert resilient_map(abs, [-1, 2, -3], jobs=1) == [1, 2, 3]
 
     def test_parallel_preserves_order(self):
-        assert parallel_map(abs, list(range(-20, 0)), jobs=2) == list(
+        assert resilient_map(abs, list(range(-20, 0)), jobs=2) == list(
             range(20, 0, -1)
         )
 

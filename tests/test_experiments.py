@@ -56,6 +56,16 @@ class TestTable2:
         text = format_table2(rows)
         assert "Lock elision" in text and "Paper" in text
 
+    def test_failed_check_raises(self, monkeypatch):
+        from repro.experiments import table2
+
+        def broken(task):
+            raise ValueError(f"{task[0]} broke")
+
+        monkeypatch.setattr(table2, "_run_property_check", broken)
+        with pytest.raises(RuntimeError, match="Monotonicity broke"):
+            run_table2(time_budget=1)
+
 
 class TestTable3:
     def test_contents(self):

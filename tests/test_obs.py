@@ -374,6 +374,30 @@ class TestManifest:
         )
 
 
+    def test_from_fuzz_resolves_each_spec_on_its_own(self):
+        from types import SimpleNamespace
+
+        from repro.engine.checkers import resolve_checker
+
+        report = SimpleNamespace(
+            arch="x86",
+            budget="smoke",
+            seed=0,
+            n_items=0,
+            elapsed=1.0,
+            cache_hits=0,
+            campaigns=[],
+            checkers=["x86", "no-such-checker"],
+            errors=[],
+            disagreements=[],
+        )
+        manifest = man.from_fuzz(report, snapshot={})
+        assert manifest.models == {
+            "x86": resolve_checker("x86").token,
+            "no-such-checker": "",
+        }
+
+
 # ----------------------------------------------------------------------
 # repro stats CLI
 # ----------------------------------------------------------------------

@@ -258,7 +258,8 @@ class TestJobSpec:
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
     def test_unknown_options_are_ignored(self):
-        # Older clients still send the retired ``codegen`` knob.
+        # Older clients still send the retired ``batch`` and
+        # ``codegen`` knobs.
         spec = JobSpec.from_dict(
             {
                 "suite": {"kind": "diy", "arch": "x86"},
@@ -266,7 +267,8 @@ class TestJobSpec:
                 "options": {"batch": 0, "codegen": False},
             }
         )
-        assert spec.batch == 0
+        assert not hasattr(spec, "batch")
+        assert "batch" not in spec.to_dict()["options"]
         assert "codegen" not in spec.to_dict()["options"]
 
     @pytest.mark.parametrize(
@@ -437,18 +439,18 @@ class TestCampaignService:
     def test_crashing_unit_poisons_its_cells_not_the_job(
         self, tmp_path, monkeypatch
     ):
-        from repro.serve import service as service_mod
+        from repro.engine import batchsweep
 
-        real = service_mod._run_unit
+        real = batchsweep._run_checkers
 
-        def sabotaged(unit):
-            if "Fre+Rfe" in unit[0]:
+        def sabotaged(name, payload, checkers):
+            if "Fre+Rfe" in name:
                 raise RuntimeError("synthetic checker crash")
-            return real(unit)
+            return real(name, payload, checkers)
 
-        monkeypatch.setattr(service_mod, "_run_unit", sabotaged)
+        monkeypatch.setattr(batchsweep, "_run_checkers", sabotaged)
         saved = batch_size()
-        set_batch_size(0)  # no prefill: every cell must reach _run_unit
+        set_batch_size(0)  # no prefill: every cell must reach _run_checkers
         service = self._service(tmp_path, cache=NullCache())
         try:
             job = _wait_done(
