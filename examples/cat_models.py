@@ -3,10 +3,11 @@
 them, and cross-validate against the native Python implementations.
 
 The paper's companion material ships every proposed model "in the .cat
-format"; this repository reproduces that artefact with a working
-interpreter.  The same model therefore exists twice — once as a Python
-class in ``repro.models`` and once as a ``.cat`` file in
-``repro/cat/library`` — and the two must agree everywhere.
+format"; this repository reproduces that artefact with a compiler from
+``.cat`` onto the relational IR the native models are written in.  The
+same model therefore exists twice — once as a Python class in
+``repro.models`` and once as a ``.cat`` file in ``repro/cat/library`` —
+and the two must agree everywhere.
 """
 
 from repro.cat import CAT_MODEL_FILES, load_cat_model
@@ -27,10 +28,10 @@ def main() -> None:
     print("=== evaluating x86tm.cat on Fig. 2 " + "=" * 29)
     print(entry.execution.describe())
     print()
-    result = model.evaluate(entry.execution)
-    for check in result.checks:
-        print(f"  {check.describe()}")
-    print(f"  => consistent: {result.consistent}")
+    verdict = model.check(entry.execution)
+    for check, result in zip(model.compiled.axiom_checks, verdict.results):
+        print(f"  {check.describe(result.holds)}")
+    print(f"  => consistent: {verdict.consistent}")
     print()
 
     # 3. The C++ model carries its race detector as a herd-style flag.

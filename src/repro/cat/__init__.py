@@ -1,13 +1,17 @@
 """A ``.cat`` model DSL in the style of herding cats [5].
 
 The paper's companion material ships every proposed model "in the .cat
-format"; this package reproduces that artefact.  It implements a small
-interpreter for a cat dialect — lexer (:mod:`repro.cat.lexer`), parser
-(:mod:`repro.cat.parser`), evaluator (:mod:`repro.cat.evaluator`) — plus
-the model files themselves under :mod:`repro.cat.library` and an adapter
-(:class:`repro.cat.model.CatModel`) that turns a ``.cat`` file into a
-:class:`repro.models.base.MemoryModel`, interchangeable with the native
-Python models.  ``tests/test_cat_models.py`` cross-validates the two
+format"; this package reproduces that artefact.  It implements a cat
+dialect — lexer (:mod:`repro.cat.lexer`), parser
+(:mod:`repro.cat.parser`), and a compiler onto the unified relational IR
+(:mod:`repro.cat.compile`), which is the only meaning a source has —
+plus the model files themselves under :mod:`repro.cat.library` and an
+adapter (:class:`repro.cat.model.CatModel`) that turns a ``.cat`` file
+into a :class:`repro.models.base.MemoryModel`, interchangeable with the
+native Python models.  Every check, flag and binding is an IR
+evaluation, and an ill-formed source is rejected when it is compiled
+(every :class:`CatError` is a :class:`ValueError` carrying its line and
+column).  ``tests/test_cat_models.py`` cross-validates the two
 implementations of every model against each other on the paper catalog
 and on exhaustively enumerated executions.
 
@@ -24,14 +28,14 @@ the library files stick to it):
 * ``let rec ... and ...`` computes a simultaneous least fixpoint from
   empty relations (exactly how ``ppo`` is defined for Power);
 * event sets are auto-promoted to identity relations when composed with
-  ``;`` (write ``[S]`` to be explicit);
+  ``;`` and when checked (write ``[S]`` to be explicit), and nowhere
+  else: a closure or converse of an event set is a type error;
 * ``acyclic | irreflexive | empty expr as name`` define consistency
   axioms; ``flag <check>`` records a non-consistency diagnostic (used for
   race detection); ``show``/``unshow`` are parsed and ignored.
 """
 
 from .errors import CatError, CatSyntaxError, CatTypeError, CatNameError
-from .evaluator import EvalResult, evaluate
 from .library import library_path, library_source
 from .model import CatModel, load_cat_model, CAT_MODEL_FILES
 from .parser import parse
@@ -43,8 +47,6 @@ __all__ = [
     "CatNameError",
     "CatModel",
     "CAT_MODEL_FILES",
-    "EvalResult",
-    "evaluate",
     "library_path",
     "library_source",
     "load_cat_model",

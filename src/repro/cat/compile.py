@@ -1,9 +1,9 @@
 """Compile parsed ``.cat`` models onto the unified relational IR.
 
-The tree-walk evaluator (:mod:`repro.cat.evaluator`) re-interprets a
-model's AST against every execution.  This module instead compiles the
-AST **once** into interned :mod:`repro.ir` nodes — the same hash-consed
-DAG the native models declare their axioms in — so that:
+This lowering is the only meaning a ``.cat`` source has: the AST is
+compiled **once** into interned :mod:`repro.ir` nodes — the same
+hash-consed DAG the native models declare their axioms in — and every
+verdict, flag and binding is an IR evaluation of those nodes, so that:
 
 * per-candidate evaluation is a memo lookup per node instead of an AST
   walk (``let`` bindings, closure inlining, include resolution all
@@ -11,8 +11,7 @@ DAG the native models declare their axioms in — so that:
 * a ``.cat`` model and its native twin share every common subexpression
   per candidate (``x86tm.cat``'s ``hb`` *is* the native x86 ``hb``
   node);
-* ``let rec`` lowers to an explicit simultaneous-fixpoint node instead
-  of an interpreter loop.
+* ``let rec`` lowers to an explicit simultaneous-fixpoint node.
 
 Compilation strategy
 ====================
@@ -28,10 +27,12 @@ preserved without special-casing the function names.
 ``flag`` checks and negated checks compile like any other; their special
 semantics live in the :class:`CompiledCheck` record.
 
-Anything the IR cannot express raises :class:`CatCompileError`;
-:class:`~repro.cat.model.CatModel` falls back to the tree-walk
-evaluator in that case (none of the shipped library needs the
-fallback — ``tests/test_ir.py`` asserts the whole library compiles).
+Errors are raised at compile time, with the source position of the
+offending expression: :class:`~repro.cat.errors.CatNameError` for an
+unbound name or function, :class:`~repro.cat.errors.CatTypeError` for an
+operator applied to the wrong kind of operand (only ``;`` and checks
+promote an event set to its identity relation), and
+:class:`~repro.cat.errors.CatError` for an ``include`` without a loader.
 """
 
 from __future__ import annotations
@@ -59,16 +60,15 @@ from .ast import (
     Stmt,
     Unary,
 )
-from .errors import CatError
+from .errors import CatError, CatNameError, CatTypeError
 
-__all__ = ["CatCompileError", "CompiledCheck", "CompiledModel", "compile_model"]
+__all__ = ["CompiledCheck", "CompiledModel", "compile_model"]
 
 #: Callback that resolves ``include "name.cat"`` to a parsed model.
 Loader = Callable[[str], Model]
 
-
-class CatCompileError(CatError):
-    """The model uses a construct the IR cannot express."""
+#: Closure and converse operators (the parser normalises bare ``+``/``?``).
+_POSTFIX = {"^+": N.plus, "^*": N.star, "^?": N.opt, "^-1": N.inverse}
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,13 @@ class CompiledCheck:
     flag: bool
     node: Node
 
+    def describe(self, holds: bool) -> str:
+        """One report line: ``[flag ][~]kind ... as name: ok|VIOLATED``."""
+        tag = "flag " if self.flag else ""
+        neg = "~" if self.negated else ""
+        status = "ok" if holds else "VIOLATED"
+        return f"{tag}{neg}{self.kind} ... as {self.name}: {status}"
+
 
 @dataclass(frozen=True)
 class CompiledModel:
@@ -103,7 +110,7 @@ class CompiledModel:
     title: str
     checks: tuple[CompiledCheck, ...]
     #: Name → node for every relation/set binding visible at the end of
-    #: the file (used by ``repro explain`` and the differential tests).
+    #: the file; IR-evaluating a node inspects that binding's value.
     bindings: tuple[tuple[str, Node], ...] = field(default_factory=tuple)
 
     @property
@@ -115,12 +122,9 @@ class CompiledModel:
     def flag_checks(self) -> tuple[CompiledCheck, ...]:
         return tuple(c for c in self.checks if c.flag)
 
-    def roots(self) -> list[Node]:
-        return [c.node for c in self.checks]
 
-
-def _err(message: str, node) -> CatCompileError:
-    return CatCompileError(message, node.line, node.col)
+def _err(message: str, node, cls: type[CatError] = CatTypeError) -> CatError:
+    return cls(message, node.line, node.col)
 
 
 class _Compiler:
@@ -140,7 +144,6 @@ class _Compiler:
         self.env["range"] = "range"
         self.checks: list[CompiledCheck] = []
         self.included: set[str] = set()
-        self.in_letrec = False
 
     # -- expressions -----------------------------------------------------
 
@@ -149,7 +152,9 @@ class _Compiler:
             try:
                 return env[expr.ident]
             except KeyError:
-                raise _err(f"unbound name {expr.ident!r}", expr) from None
+                raise _err(
+                    f"unbound name {expr.ident!r}", expr, CatNameError
+                ) from None
         if isinstance(expr, EmptyRel):
             return N.empty()
         if isinstance(expr, SetLiteral):
@@ -165,21 +170,13 @@ class _Compiler:
         if isinstance(expr, Postfix):
             body = self._node(self.compile(expr.body, env), expr)
             if body.is_set:
-                body = N.lift(body)
-            if expr.op == "^+":
-                return N.plus(body)
-            if expr.op == "^*":
-                return N.star(body)
-            if expr.op == "^?":
-                return N.opt(body)
-            if expr.op == "^-1":
-                return N.inverse(body)
-            raise _err(f"unknown postfix {expr.op!r}", expr)
+                raise _err(f"{expr.op} expects a relation", expr)
+            return _POSTFIX[expr.op](body)
         if isinstance(expr, Binary):
             return self._binary(expr, env)
         if isinstance(expr, Apply):
             return self._apply(expr, env)
-        raise _err(f"unhandled node {type(expr).__name__}", expr)
+        raise _err(f"unhandled node {type(expr).__name__}", expr, CatError)
 
     def _node(self, value: object, where) -> Node:
         if isinstance(value, Node):
@@ -220,23 +217,25 @@ class _Compiler:
         try:
             func = env[expr.func]
         except KeyError:
-            raise _err(f"unbound function {expr.func!r}", expr) from None
+            raise _err(
+                f"unbound function {expr.func!r}", expr, CatNameError
+            ) from None
+        builtin = func == "domain" or func == "range"
+        if not builtin and not isinstance(func, _CompiledClosure):
+            raise _err(f"{expr.func!r} is not a function", expr)
+        arity = 1 if builtin else func.arity
+        if arity != len(expr.args):
+            raise _err(
+                f"{expr.func!r} expects {arity} argument(s), "
+                f"got {len(expr.args)}",
+                expr,
+            )
         args = [self.compile(arg, env) for arg in expr.args]
-        if func == "domain" or func == "range":
-            if len(args) != 1:
-                raise _err(f"{func}() expects 1 argument", expr)
+        if builtin:
             rel = self._node(args[0], expr)
             if rel.is_set:
                 raise _err(f"{func}() expects a relation", expr)
             return N.domain(rel) if func == "domain" else N.range_(rel)
-        if not isinstance(func, _CompiledClosure):
-            raise _err(f"{expr.func!r} is not a function", expr)
-        if func.arity != len(args):
-            raise _err(
-                f"{expr.func!r} expects {func.arity} argument(s), "
-                f"got {len(args)}",
-                expr,
-            )
         call_env = dict(func.env)
         call_env.update(zip(func.params, args))
         return self._node(self.compile(func.body, call_env), expr)
@@ -244,27 +243,19 @@ class _Compiler:
     # -- statements ------------------------------------------------------
 
     def _let_rec(self, stmt: LetRec) -> None:
-        if self.in_letrec:
-            raise _err("nested let rec is not supported by the IR", stmt)
-        self.in_letrec = True
-        try:
-            names = [name for name, _ in stmt.bindings]
-            rec_env = dict(self.env)
-            for index, name in enumerate(names):
-                rec_env[name] = N.var(index)
-            bodies = []
-            for name, body in stmt.bindings:
-                node = self._node(self.compile(body, rec_env), stmt)
-                if node.is_set:
-                    raise _err(
-                        f"let rec {name!r} must be relation-valued", stmt
-                    )
-                bodies.append(node)
-            body_tuple = tuple(bodies)
-            for index, name in enumerate(names):
-                self.env[name] = N.fix(body_tuple, index)
-        finally:
-            self.in_letrec = False
+        names = [name for name, _ in stmt.bindings]
+        rec_env = dict(self.env)
+        for index, name in enumerate(names):
+            rec_env[name] = N.var(index)
+        bodies = []
+        for name, body in stmt.bindings:
+            node = self._node(self.compile(body, rec_env), stmt)
+            if node.is_set:
+                raise _err(f"let rec {name!r} must be relation-valued", stmt)
+            bodies.append(node)
+        body_tuple = tuple(bodies)
+        for index, name in enumerate(names):
+            self.env[name] = N.fix(body_tuple, index)
 
     def _check(self, stmt: Check) -> None:
         node = self._node(self.compile(stmt.expr, self.env), stmt.expr)
@@ -293,7 +284,7 @@ class _Compiler:
         elif isinstance(stmt, Include):
             if self.loader is None:
                 raise _err(
-                    f'include "{stmt.filename}" needs a loader', stmt
+                    f'include "{stmt.filename}" needs a loader', stmt, CatError
                 )
             if stmt.filename in self.included:
                 return
@@ -303,15 +294,15 @@ class _Compiler:
             return
         else:
             raise _err(
-                f"unhandled statement {type(stmt).__name__}", stmt
+                f"unhandled statement {type(stmt).__name__}", stmt, CatError
             )
 
 
 def compile_model(model: Model, loader: Loader | None = None) -> CompiledModel:
     """Lower a parsed ``.cat`` model onto the IR DAG.
 
-    Raises :class:`CatCompileError` for constructs outside the IR
-    (callers fall back to the tree-walk evaluator).
+    Raises :class:`~repro.cat.errors.CatError` (see the module
+    docstring) for an ill-formed model.
     """
     compiler = _Compiler(loader)
     compiler.run(model)

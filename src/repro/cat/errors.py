@@ -1,7 +1,9 @@
-"""Error types raised by the .cat front end and evaluator.
+"""Error types raised by the .cat front end and compiler.
 
 All errors carry a source position (line and column, both 1-based) so a
-broken model file points at the offending token, not at the interpreter.
+broken model file points at the offending token, not at the compiler.
+Every error is a :class:`ValueError`, so the CLI and the campaign
+service report a bad ``.cat`` file like any other bad input.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 __all__ = ["CatError", "CatSyntaxError", "CatTypeError", "CatNameError"]
 
 
-class CatError(Exception):
+class CatError(ValueError):
     """Base class for every .cat front-end error."""
 
     def __init__(self, message: str, line: int = 0, col: int = 0) -> None:

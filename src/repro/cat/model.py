@@ -7,13 +7,13 @@ metatheory, conformance) can run off a ``.cat`` file.  The
 cross-validation tests exploit this to assert that every library model
 agrees with its native counterpart on every execution they are given.
 
-Checking routes through the unified relational IR: the source is
-compiled once (:mod:`repro.cat.compile`) onto the same hash-consed DAG
-the native models declare their axioms in, so ``check``/``consistent``
-are per-node memo lookups shared with every other model in a campaign.
-The tree-walk evaluator remains available via :meth:`CatModel.evaluate`
-(it exposes the full binding environment) and serves as the fallback
-for any source the IR cannot express.
+A source has one meaning, its lowering onto the unified relational IR:
+it is compiled once (:mod:`repro.cat.compile`) onto the same hash-consed
+DAG the native models declare their axioms in, so ``check``,
+``consistent`` and ``flags_raised`` are per-node memo lookups shared
+with every other model in a campaign, and an ill-formed source is
+rejected when the model is built.  Binding values are inspected by
+IR-evaluating ``compiled.bindings``.
 """
 
 from __future__ import annotations
@@ -23,17 +23,16 @@ from functools import lru_cache
 from pathlib import Path
 
 from ..obs import trace
-from ..core.analysis import CandidateAnalysis
+from ..core.analysis import CandidateAnalysis, analyze
 from ..core.execution import Execution
 from ..ir.eval import axiom_holds
 from ..ir.eval import evaluate as ir_evaluate
 from ..ir.model import IRAxiom, IRDefinition
 from ..models.base import Axiom, AxiomResult, MemoryModel, Verdict, witness_for
-from .ast import Check, Include, Model
-from .compile import CatCompileError, CompiledModel, compile_model
+from .ast import Model
+from .compile import compile_model
 from .errors import CatError
-from .evaluator import EvalResult, evaluate
-from .library import library_source
+from .library import library_files, library_source
 from .parser import parse
 
 __all__ = ["CatModel", "load_cat_model", "CAT_MODEL_FILES"]
@@ -55,11 +54,8 @@ CAT_MODEL_FILES: dict[str, str] = {
 
 @lru_cache(maxsize=None)
 def _parse_library(name: str) -> Model:
+    """The include loader: a library file, parsed once per process."""
     return parse(library_source(name))
-
-
-def _library_loader(name: str) -> Model:
-    return _parse_library(name)
 
 
 class CatModel(MemoryModel):
@@ -70,56 +66,22 @@ class CatModel(MemoryModel):
         name: model name for reports (defaults to the file's title).
         tm: as for native models — ``False`` evaluates against the
             transaction-stripped baseline execution.
+
+    Raises:
+        CatError: the source does not parse or compile (see
+            :mod:`repro.cat.compile`).
     """
 
     def __init__(self, source: str, name: str = "", tm: bool = True) -> None:
         super().__init__(tm=tm)
         self.ast = parse(source)
         self.arch = name or self.ast.title or "cat"
-        self._static_checks = tuple(self._collect_checks(self.ast, set()))
-        #: The IR lowering, or ``None`` if the source uses constructs
-        #: outside the IR (then everything falls back to the tree walk).
-        self.compiled: CompiledModel | None
-        try:
-            self.compiled = compile_model(self.ast, _library_loader)
-        except CatCompileError:
-            self.compiled = None
-        self._plan = (
-            None
-            if self.compiled is None
-            else tuple(
-                sorted(
-                    self.compiled.axiom_checks,
-                    key=lambda c: c.node.cost,
-                )
-            )
+        self.compiled = compile_model(self.ast, _parse_library)
+        self._plan = tuple(
+            sorted(self.compiled.axiom_checks, key=lambda c: c.node.cost)
         )
 
-    def _collect_checks(self, model: Model, seen: set[str]) -> list[Check]:
-        checks: list[Check] = []
-        for stmt in model.statements:
-            if isinstance(stmt, Check) and not stmt.flag:
-                checks.append(stmt)
-            elif isinstance(stmt, Include) and stmt.filename not in seen:
-                seen.add(stmt.filename)
-                checks.extend(
-                    self._collect_checks(_library_loader(stmt.filename), seen)
-                )
-        return checks
-
     # -- evaluation ------------------------------------------------------
-
-    def evaluate(self, x: "Execution | CandidateAnalysis") -> EvalResult:
-        """Full tree-walk evaluation (respecting the ``tm`` flag).
-
-        Exposes the complete binding environment; checking goes through
-        the compiled IR instead (see :meth:`check`/:meth:`consistent`).
-        """
-        a = self._analysis(x)
-        if trace.ACTIVE is not None:
-            with trace.stage("axioms"):
-                return evaluate(self.ast, a, _library_loader)
-        return evaluate(self.ast, a, _library_loader)
 
     def definition(self) -> IRDefinition:
         """The compiled consistency axioms as an :class:`IRDefinition`.
@@ -127,10 +89,6 @@ class CatModel(MemoryModel):
         Flag checks are diagnostics and excluded (matching
         :meth:`axioms`); negated non-flag checks have no axiom form.
         """
-        if self.compiled is None:
-            raise NotImplementedError(
-                f"{self.arch}: source did not compile to IR"
-            )
         axioms = []
         for check in self.compiled.axiom_checks:
             if check.negated:
@@ -143,11 +101,6 @@ class CatModel(MemoryModel):
         return IRDefinition(tuple(axioms))
 
     def relations(self, x: "Execution | CandidateAnalysis") -> dict:
-        if self.compiled is None:
-            result = self.evaluate(x)
-            return {c.name: c.relation for c in result.checks}
-        from ..core.analysis import analyze
-
         a = analyze(x)
         return {
             c.name: ir_evaluate(c.node, a)
@@ -155,25 +108,11 @@ class CatModel(MemoryModel):
         }
 
     def axioms(self) -> tuple[Axiom, ...]:
-        out = []
-        for check in self._static_checks:
-            if check.negated:
-                raise CatError(
-                    f"negated non-flag check {check.name!r} has no Axiom form",
-                    check.line,
-                    check.col,
-                )
-            out.append(Axiom(check.name, check.kind, check.name))
-        return tuple(out)
+        return tuple(
+            Axiom(ax.name, ax.kind, ax.name) for ax in self.definition().axioms
+        )
 
     def check(self, x: "Execution | CandidateAnalysis") -> Verdict:
-        if self.compiled is None:
-            result = self.evaluate(x)
-            results = tuple(
-                AxiomResult(c.name, c.holds, c.witness)
-                for c in result.checks
-            )
-            return Verdict(self.name, all(r.holds for r in results), results)
         a = self._analysis(x)
         results = []
         for c in self.compiled.axiom_checks:
@@ -187,12 +126,11 @@ class CatModel(MemoryModel):
         return Verdict(self.name, all(r.holds for r in results), results)
 
     def batch_definition(self):
-        """Batchable iff consistency routes through the compiled IR
-        (same condition as :meth:`consistent`'s fast path) and no check
-        is negated (negation has no :class:`IRAxiom` form)."""
+        """The compiled axioms, or ``None`` when a check is negated
+        (negation has no :class:`IRAxiom` form)."""
         cached = self.__dict__.get("_batch_definition", _UNSET)
         if cached is _UNSET:
-            if self._plan is None or any(c.negated for c in self._plan):
+            if any(c.negated for c in self._plan):
                 cached = None
             else:
                 cached = self.definition()
@@ -200,8 +138,6 @@ class CatModel(MemoryModel):
         return cached
 
     def consistent(self, x: "Execution | CandidateAnalysis") -> bool:
-        if self._plan is None:
-            return self.evaluate(x).consistent
         a = self._analysis(x)
         if trace.ACTIVE is not None:
             with trace.stage("axioms"):
@@ -219,8 +155,6 @@ class CatModel(MemoryModel):
         Herd semantics: ``flag ~empty race`` raises when the test holds,
         i.e. when races exist.
         """
-        if self.compiled is None:
-            return self.evaluate(x).flagged
         a = self._analysis(x)
         return [
             c.name
@@ -235,16 +169,12 @@ class CatModel(MemoryModel):
     def definition_token(self) -> str:
         """Engine cache keying: the structural digest of the compiled
         checks (comment/whitespace edits no longer invalidate cached
-        verdicts; semantic edits always do).  Falls back to hashing the
-        AST when the source did not compile."""
-        if self.compiled is None:
-            text = repr(self.ast)
-        else:
-            text = ";".join(
-                f"{c.name}:{c.kind}:{int(c.negated)}:{int(c.flag)}:"
-                f"{c.node.digest}"
-                for c in self.compiled.checks
-            )
+        verdicts; semantic edits always do)."""
+        text = ";".join(
+            f"{c.name}:{c.kind}:{int(c.negated)}:{int(c.flag)}:"
+            f"{c.node.digest}"
+            for c in self.compiled.checks
+        )
         digest = hashlib.sha256(text.encode()).hexdigest()[:16]
         return f"cat:{self.arch}:tm={self.tm}:{digest}"
 
@@ -257,6 +187,10 @@ def load_cat_model(name: str, tm: bool = True) -> CatModel:
     disk.  Library models mirror the native models, all of which imply
     per-location coherence, so they are tagged ``enforces_coherence``
     (ad-hoc ``.cat`` files stay conservative).
+
+    Raises :class:`ValueError` for an unknown name or a missing ``.cat``
+    file, and a :class:`CatError` prefixed with the path for a file that
+    does not parse or compile.
     """
     if name in CAT_MODEL_FILES:
         filename = CAT_MODEL_FILES[name]
@@ -265,6 +199,8 @@ def load_cat_model(name: str, tm: bool = True) -> CatModel:
         return model
     path = Path(name)
     if path.suffix == ".cat" and not path.is_file():
+        if name not in library_files():
+            raise ValueError(f"{name}: no such .cat file or library model")
         # A bare library file name like "x86tm.cat".
         model = CatModel(library_source(name), name=path.stem, tm=tm)
         # Only the *model* files mirror coherence-enforcing native
@@ -273,7 +209,12 @@ def load_cat_model(name: str, tm: bool = True) -> CatModel:
         model.enforces_coherence = name in CAT_MODEL_FILES.values()
         return model
     if path.is_file():
-        return CatModel(path.read_text(), name=path.stem, tm=tm)
+        try:
+            return CatModel(path.read_text(), name=path.stem, tm=tm)
+        except CatError as exc:
+            raise type(exc)(
+                f"{name}: {exc.message}", exc.line, exc.col
+            ) from None
     raise ValueError(
         f"unknown cat model {name!r}; registry names: "
         f"{', '.join(sorted(CAT_MODEL_FILES))}"

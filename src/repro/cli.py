@@ -577,7 +577,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _explain_definition(model):
-    """The model's IR lowering, or None (oracles, non-compiling cat)."""
+    """The model's IR axioms, or None (oracles, ``.cat`` models with a
+    negated check)."""
     from .ir import ir_definition
 
     try:
@@ -759,17 +760,21 @@ def _cmd_cat(args) -> int:
     if args.source:
         print(library_source(args.source), end="")
         return 0
-    model = load_cat_model(args.model)
-    entry = get_entry(args.entry)
-    result = model.evaluate(entry.execution)
-    print(entry.execution.describe())
+    try:
+        model = load_cat_model(args.model)
+        x = get_entry(args.entry).execution
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    verdict = model.check(x)
+    print(x.describe())
     print()
-    for check in result.checks:
-        print(f"  {check.describe()}")
-    for flag in result.flagged:
+    for check, result in zip(model.compiled.axiom_checks, verdict.results):
+        print(f"  {check.describe(result.holds)}")
+    for flag in model.flags_raised(x):
         print(f"  flag raised: {flag}")
-    print(f"=> {'consistent' if result.consistent else 'INCONSISTENT'}")
-    return 0 if result.consistent else 1
+    print(f"=> {'consistent' if verdict.consistent else 'INCONSISTENT'}")
+    return 0 if verdict.consistent else 1
 
 
 def _cmd_diy(args) -> int:

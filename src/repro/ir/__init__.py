@@ -2,7 +2,7 @@
 
 This package is the single semantic substrate behind both checker
 families: the native Python models (:mod:`repro.models`) declare their
-axioms as IR expressions, and the ``.cat`` evaluator compiles parsed
+axioms as IR expressions, and the ``.cat`` compiler lowers parsed
 models onto the same DAG (:mod:`repro.cat.compile`).  Structural
 interning makes identical subexpressions — across models, across
 families — the *same node*, and the evaluation engine memoizes per
@@ -80,9 +80,10 @@ def ir_definition(model) -> "IRDefinition | None":
     """The :class:`IRDefinition` behind ``model``, if it has one.
 
     Works for native :class:`IRModel` subclasses and for
-    :class:`~repro.cat.model.CatModel` instances whose source compiled;
-    returns ``None`` for models outside the IR (ad-hoc subclasses,
-    oracles).
+    :class:`~repro.cat.model.CatModel` instances (one with a negated
+    non-flag check raises :class:`~repro.cat.errors.CatError`: negation
+    has no :class:`IRAxiom` form); returns ``None`` for models outside
+    the IR (ad-hoc subclasses, oracles).
     """
     getter = getattr(model, "definition", None)
     if callable(getter):

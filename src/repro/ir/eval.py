@@ -329,7 +329,7 @@ def _eval_fix(node: Node, a: CandidateAnalysis) -> tuple[Relation, ...]:
     rels = tuple(Relation.empty(a.n) for _ in bodies)
     # Every operator is monotone, so the chain is increasing and
     # bounded by the full relation; the step bound guards against
-    # non-monotone misuse (mirrors the tree-walk evaluator).
+    # non-monotone misuse (``let rec`` bodies using ``~`` or ``\``).
     max_steps = a.n * a.n * len(bodies) + 8
     for _ in range(max_steps):
         STATS.fix_iterations += 1

@@ -195,7 +195,7 @@ class Tracer:
         snap = {
             "schema": TRACE_SCHEMA,
             "version": TRACE_VERSION,
-            "seconds": {k: round(v, 9) for k, v in self.seconds.items()},
+            "seconds": dict(self.seconds),
             "calls": dict(self.calls),
             "counters": dict(self.counters),
         }

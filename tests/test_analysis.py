@@ -156,16 +156,17 @@ class TestModelEntryPoints:
             assert model.consistent(a) == model.consistent(x), name
 
     def test_cat_env_built_from_analysis(self):
-        from repro.cat.env import RELATION_NAMES, SET_NAMES, base_env
+        """Every primitive a ``.cat`` source can name evaluates the same
+        from the execution and from its analysis, to the shared value."""
+        from repro.ir import nodes as N
+        from repro.ir.eval import evaluate
 
         x = txn_execution()
-        env_x = base_env(x)
-        env_a = base_env(analyze(x))
-        for name in SET_NAMES + RELATION_NAMES:
-            assert env_x[name] == env_a[name], name
-        # Fresh dict per call, shared values underneath.
-        assert env_x is not env_a
-        assert env_x["po"] is env_a["po"]
+        a = analyze(x)
+        primitives = [N.bset(name) for name in sorted(N.BASE_SETS)]
+        primitives += [N.base(name) for name in sorted(N.BASE_RELATIONS)]
+        for node in primitives:
+            assert evaluate(node, x) is evaluate(node, a), node
 
     def test_cat_models_accept_analysis(self):
         from repro.cat.model import load_cat_model
@@ -188,10 +189,11 @@ class TestModelEntryPoints:
         assert load_cat_model("x86tm.cat").enforces_coherence
 
     def test_repeated_cat_evaluation_is_stable_with_diamond_includes(self):
+        """``powerppo.cat`` itself includes ``stdlib.cat``; the explicit
+        second include must compile to nothing, and checking twice (the
+        second time off the memoized analysis) must give one verdict."""
         from repro.cat.model import CatModel
 
-        # powerppo.cat itself includes stdlib.cat; the explicit second
-        # include must stay a no-op on cached replays too.
         source = (
             '"diamond"\n'
             'include "powerppo.cat"\n'
@@ -199,11 +201,12 @@ class TestModelEntryPoints:
             "acyclic po | com as Order\n"
         )
         model = CatModel(source)
+        assert [c.name for c in model.compiled.checks] == ["Order"]
         x = txn_execution()
-        first = model.evaluate(x)
-        second = model.evaluate(x)
-        assert [c.name for c in first.checks] == ["Order"]
-        assert [c.name for c in second.checks] == ["Order"]
+        first = model.check(x)
+        second = model.check(x)
+        assert [r.name for r in first.results] == ["Order"]
+        assert second == first
 
 
 class TestProfiling:

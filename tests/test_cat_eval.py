@@ -1,14 +1,41 @@
-"""Unit tests for the .cat evaluator against hand-built executions."""
+"""Unit tests for ``.cat`` semantics against hand-built executions.
+
+A source means its IR lowering: expressions are compiled
+(:func:`~repro.cat.compile.compile_model`) and their bindings evaluated
+by the scalar IR reference; checks and flags go through
+:class:`~repro.cat.model.CatModel`.  Expected values are hand-computed
+or come from the native ``Execution`` relations and the
+``repro.core.lifting`` functions, which share no code with the lowering.
+Type and name errors are raised at compile time.
+"""
 
 import pytest
 
+from repro.cat.compile import compile_model
 from repro.cat.errors import CatError, CatNameError, CatTypeError
-from repro.cat.evaluator import evaluate, evaluate_expr
 from repro.cat.library import library_source
+from repro.cat.model import CatModel
+from repro.cat.parser import parse
 from repro.core.builder import ExecutionBuilder
 from repro.core.events import Label
 from repro.core.lifting import stronglift, weaklift
 from repro.core.relation import Relation
+from repro.ir.eval import evaluate
+
+
+def compile_source(source):
+    """Compile a source that needs no ``include`` loader."""
+    return compile_model(parse(source), None)
+
+
+def binding(compiled, name, x):
+    """The value ``name`` is bound to, IR-evaluated on ``x``."""
+    return evaluate(dict(compiled.bindings)[name], x)
+
+
+def evaluate_expr(source, x):
+    """The value of one expression under the primitive environment."""
+    return binding(compile_source(f"let probe = {source}"), "probe", x)
 
 
 @pytest.fixture
@@ -140,9 +167,11 @@ class TestOperators:
 
 class TestStatements:
     def test_let_binds(self, mp):
-        result = evaluate('let hb = po | rf\nacyclic hb as Order', mp)
-        assert result.consistent
-        assert result.relation("hb") == evaluate_expr("po | rf", mp)
+        model = CatModel("let hb = po | rf\nacyclic hb as Order")
+        assert model.consistent(mp)
+        assert binding(model.compiled, "hb", mp) == evaluate_expr(
+            "po | rf", mp
+        )
 
     def test_let_function_and_application(self, mp):
         source = """
@@ -150,94 +179,92 @@ class TestStatements:
         let f = fences(W)
         empty f \\ po as Sub
         """
-        result = evaluate(source, mp)
-        assert result.consistent
+        assert CatModel(source).consistent(mp)
 
     def test_function_wrong_arity(self, mp):
         with pytest.raises(CatTypeError, match="expects 1 argument"):
-            evaluate("let f(x) = x\nlet y = f(po, rf)", mp)
+            compile_source("let f(x) = x\nlet y = f(po, rf)")
 
     def test_calling_a_relation_is_an_error(self, mp):
         with pytest.raises(CatTypeError, match="not a function"):
-            evaluate("let y = po(rf)", mp)
+            compile_source("let y = po(rf)")
 
     def test_domain_and_range(self, mp):
-        result = evaluate(
+        model = CatModel(
             "let d = domain(rf)\nlet r = range(rf)\n"
-            "empty [d] \\ [W] as DomW\nempty [r] \\ [R] as RanR",
-            mp,
+            "empty [d] \\ [W] as DomW\nempty [r] \\ [R] as RanR"
         )
-        assert result.consistent
-        assert result.bindings["d"] == frozenset({1})
-        assert result.bindings["r"] == frozenset({2})
+        assert model.consistent(mp)
+        assert binding(model.compiled, "d", mp) == frozenset({1})
+        assert binding(model.compiled, "r", mp) == frozenset({2})
 
     def test_domain_of_set_is_an_error(self, mp):
         with pytest.raises(CatTypeError, match="expects a relation"):
-            evaluate("let d = domain(W)", mp)
+            compile_source("let d = domain(W)")
 
     def test_let_rec_fixpoint(self, mp):
         # Transitive closure of po by recursion.
-        source = "let rec tc = po | (tc; tc)"
-        result = evaluate(source, mp)
-        assert result.bindings["tc"] == evaluate_expr("po^+", mp)
+        compiled = compile_source("let rec tc = po | (tc; tc)")
+        assert binding(compiled, "tc", mp) == evaluate_expr("po^+", mp)
 
     def test_let_rec_mutual(self, mp):
         source = """
         let rec a = po | (b; b)
         and b = rf | a
         """
-        result = evaluate(source, mp)
-        assert result.bindings["a"] <= result.bindings["b"]
+        compiled = compile_source(source)
+        assert binding(compiled, "a", mp) <= binding(compiled, "b", mp)
 
     def test_let_rec_must_be_relation(self, mp):
         with pytest.raises(CatTypeError, match="relation-valued"):
-            evaluate("let rec s = W", mp)
+            compile_source("let rec s = W")
 
     def test_failing_check_reported(self, mp):
-        result = evaluate("acyclic po | po^-1 as Bad", mp)
-        assert not result.consistent
-        (check,) = result.checks
-        assert check.name == "Bad" and not check.holds
-        assert "VIOLATED" in check.describe()
+        model = CatModel("acyclic po | po^-1 as Bad")
+        verdict = model.check(mp)
+        assert not verdict.consistent
+        (check,) = model.compiled.axiom_checks
+        (result,) = verdict.results
+        assert check.name == result.name == "Bad" and not result.holds
+        assert "VIOLATED" in check.describe(result.holds)
 
     def test_flag_does_not_affect_consistency(self, mp):
-        result = evaluate("flag ~empty po as Diag\nacyclic po as Order", mp)
-        assert result.consistent
-        assert result.flagged == ["Diag"]
+        model = CatModel("flag ~empty po as Diag\nacyclic po as Order")
+        assert model.consistent(mp)
+        assert model.flags_raised(mp) == ["Diag"]
 
     def test_flag_not_raised_when_test_fails(self, mp):
-        result = evaluate("flag ~empty 0 as Diag", mp)
-        assert result.flagged == []
+        assert CatModel("flag ~empty 0 as Diag").flags_raised(mp) == []
 
     def test_include_without_loader_fails(self, mp):
         with pytest.raises(CatError, match="needs a loader"):
-            evaluate('include "stdlib.cat"', mp)
+            compile_source('include "stdlib.cat"')
 
     def test_relation_accessor_type_guard(self, mp):
-        result = evaluate("let s = W", mp)
         with pytest.raises(CatTypeError):
-            result.relation("s")
+            compile_source("let s = W\nlet t = s^-1")
 
 
 class TestStdlib:
     def _eval(self, extra: str, x):
-        from repro.cat.model import _library_loader
-
-        return evaluate(library_source("stdlib.cat") + "\n" + extra, x,
-                        _library_loader)
+        """The stdlib bindings plus ``extra``, IR-evaluated on ``x``."""
+        model = CatModel(library_source("stdlib.cat") + "\n" + extra)
+        return {
+            name: evaluate(node, x) for name, node in model.compiled.bindings
+        }
 
     def test_rfe_rfi(self, mp):
-        result = self._eval("let probe = rfe", mp)
-        assert result.bindings["rfe"] == mp.rfe
-        assert result.bindings["rfi"] == mp.rfi
+        bindings = self._eval("let probe = rfe", mp)
+        assert bindings["rfe"] == mp.rfe
+        assert bindings["rfi"] == mp.rfi
 
     def test_com(self, mp):
-        result = self._eval("let probe = com", mp)
-        assert result.bindings["com"] == mp.com
+        bindings = self._eval("let probe = com", mp)
+        assert bindings["com"] == mp.com
 
     def test_po_loc(self, mp):
-        result = self._eval("let probe = po_loc", mp)
-        assert result.bindings["po_loc"] == mp.po_loc
+        bindings = self._eval("let probe = po_loc", mp)
+        assert bindings["po_loc"] == mp.po_loc
 
     def test_fencerel_matches_native(self):
         b = ExecutionBuilder()
@@ -246,18 +273,16 @@ class TestStdlib:
         t0.fence(Label.SYNC)
         t0.write("y")
         x = b.build()
-        result = self._eval("let s = fencerel(SYNC)", x)
-        assert result.bindings["s"] == x.fence_rel(Label.SYNC)
+        bindings = self._eval("let s = fencerel(SYNC)", x)
+        assert bindings["s"] == x.fence_rel(Label.SYNC)
 
     def test_weaklift_matches_native(self, txn_exec):
-        result = self._eval("let wl = weaklift(com, stxn)", txn_exec)
-        assert result.bindings["wl"] == weaklift(txn_exec.com, txn_exec.stxn)
+        bindings = self._eval("let wl = weaklift(com, stxn)", txn_exec)
+        assert bindings["wl"] == weaklift(txn_exec.com, txn_exec.stxn)
 
     def test_stronglift_matches_native(self, txn_exec):
-        result = self._eval("let sl = stronglift(com, stxn)", txn_exec)
-        assert result.bindings["sl"] == stronglift(
-            txn_exec.com, txn_exec.stxn
-        )
+        bindings = self._eval("let sl = stronglift(com, stxn)", txn_exec)
+        assert bindings["sl"] == stronglift(txn_exec.com, txn_exec.stxn)
 
     def test_tfence_primitive(self, txn_exec):
         assert evaluate_expr("tfence", txn_exec) == txn_exec.tfence

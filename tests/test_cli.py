@@ -389,3 +389,36 @@ class TestRunFrontend:
         code, out = run(capsys, "run", path)
         assert code == 0
         assert "observable" in out
+
+
+class TestBadCatFiles:
+    """A malformed ``cat:`` file is reported by name and position, with
+    exit 2 and no traceback, both by ``repro cat`` and by a campaign."""
+
+    #: error kind -> (file text, or None for no file; expected location)
+    SOURCES = {
+        # The `|` has no right operand.
+        "syntax": ("let hb = po |\nacyclic hb as Order\n", "line 2:1"),
+        # A relation joined with an event set.
+        "type": ("let hb = po | W\nacyclic hb as Order\n", "line 1:13"),
+        "missing": (None, "no such .cat file"),
+    }
+
+    @pytest.mark.parametrize("command", ["campaign", "cat"])
+    @pytest.mark.parametrize("error", sorted(SOURCES))
+    def test_bad_cat_file_exits_two(self, capsys, tmp_path, command, error):
+        source, where = self.SOURCES[error]
+        path = tmp_path / f"{error}.cat"
+        if source is not None:
+            path.write_text(source)
+        if command == "cat":
+            argv = ["cat", str(path), "fig2"]
+        else:
+            argv = ["campaign", "--suite", "catalog",
+                    "--models", f"cat:{path}", "--no-cache"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {path}: " in err
+        assert where in err
+        assert "Traceback" not in err

@@ -1,16 +1,18 @@
 """The unified relational IR: interning, evaluation, and the differential
-suite asserting the IR path matches the legacy evaluators everywhere.
+suite asserting the ``.cat`` lowering matches the native models everywhere.
 
 Three layers of assurance:
 
 * unit tests for the hash-consing invariants (AC normalisation, closure
   towers, lifting recognition, txn-freeness, digest stability);
 * evaluator correctness: every registered shortcut equals its structural
-  evaluation; fixpoint nodes match the tree-walk ``let rec``;
+  evaluation; a lowered ``let rec`` is the native Power ``ppo`` node, and
+  its value equals the closure computed by :class:`Relation` operators;
 * the differential suite: for every catalog execution and every model,
-  the IR-compiled native model, the IR-compiled ``.cat`` model, and the
-  legacy tree-walk ``.cat`` evaluator agree axiom for axiom (both
-  ``tm`` sweeps), plus a seeded fuzz smoke run comes back clean.
+  the IR-compiled ``.cat`` model and the native model agree axiom for
+  axiom, witnesses included (both ``tm`` sweeps), and the ``tm=True``
+  verdicts equal the pinned golden matrix, plus a seeded fuzz smoke run
+  comes back clean.
 """
 
 import json
@@ -22,6 +24,7 @@ from repro.catalog import CATALOG
 from repro.cat.compile import compile_model
 from repro.cat.library import library_files, library_source
 from repro.cat.model import CAT_MODEL_FILES, CatModel, load_cat_model
+from repro.cat.model import _parse_library as _loader
 from repro.cat.parser import parse
 from repro.core.analysis import analyze
 from repro.core.builder import ExecutionBuilder
@@ -32,11 +35,7 @@ from repro.ir.model import IRAxiom
 from repro.models.base import canonical_cycle, witness_for
 from repro.models.registry import get_model, model_names
 
-
-def _loader(name):
-    from repro.cat.model import _library_loader
-
-    return _library_loader(name)
+GOLDEN = Path(__file__).parent / "golden_verdicts.json"
 
 
 # ----------------------------------------------------------------------
@@ -145,15 +144,13 @@ class TestEvaluation:
                 assert getter(a) == structural, node
 
     def test_fixpoint_matches_tree_walk(self):
-        from repro.cat.evaluator import evaluate as tree_evaluate
+        """``powerppo.cat``'s ``let rec`` lowers to the very fixpoint
+        node the native Power model declares."""
         from repro.models.power import power_ppo_node
 
-        model = parse(library_source("powerppo.cat"))
-        for x in _sample_executions():
-            result = tree_evaluate(model, x, _loader)
-            assert result.bindings["ppo"] == evaluate(
-                power_ppo_node(), x
-            )
+        source = library_source("powerppo.cat")
+        compiled = compile_model(parse(source), _loader)
+        assert dict(compiled.bindings)["ppo"] is power_ppo_node()
 
     def test_baseline_sharing(self):
         x = CATALOG["fig2"].execution
@@ -228,15 +225,14 @@ class TestCompiler:
         assert compiled.axiom_checks[0].node.kind == "fix"
 
     def test_single_letrec_matches_tree_walk(self):
-        from repro.cat.evaluator import evaluate as tree_evaluate
-
+        """The least fixpoint of ``a = (a; a) | po | rf`` is the
+        transitive closure of ``po | rf``."""
         src = "let rec a = (a; a) | po | rf\nacyclic a as A\n"
         compiled = compile_model(parse(src), None)
-        model = parse(src)
         for x in _sample_executions():
-            tree = tree_evaluate(model, x, None)
+            a = analyze(x)
             assert evaluate(compiled.axiom_checks[0].node, x) == (
-                tree.bindings["a"]
+                (a.po | a.rf_rel).plus()
             )
 
 
@@ -248,35 +244,40 @@ class TestCompiler:
 @pytest.mark.parametrize("name", sorted(CAT_MODEL_FILES))
 @pytest.mark.parametrize("tm", [True, False])
 def test_ir_matches_legacy_tree_walk(name, tm):
-    """IR-compiled evaluation == the legacy tree-walk evaluator ==
-    the native model, axiom for axiom, over the whole catalog."""
+    """The compiled ``.cat`` model == the native model, axiom for axiom
+    and witness for witness, over the whole catalog; with ``tm`` both
+    also reproduce the pinned golden matrix."""
     native = get_model(name, tm=tm)
     cat = load_cat_model(name, tm=tm)
-    assert cat.compiled is not None
+    golden = json.loads(GOLDEN.read_text())
     for entry_name, entry in sorted(CATALOG.items()):
         x = entry.execution
-        ir_verdict = cat.check(x)
-        legacy = cat.evaluate(x)
-        assert ir_verdict.consistent == legacy.consistent, entry_name
-        legacy_by_name = {c.name: c for c in legacy.checks}
-        for result in ir_verdict.results:
-            legacy_check = legacy_by_name[result.name]
-            assert result.holds == legacy_check.holds, (
+        cat_verdict = cat.check(x)
+        native_verdict = native.check(x)
+        assert cat_verdict.consistent == native_verdict.consistent, entry_name
+        assert [r.name for r in cat_verdict.results] == [
+            r.name for r in native_verdict.results
+        ], entry_name
+        for result, native_result in zip(
+            cat_verdict.results, native_verdict.results
+        ):
+            assert result.holds == native_result.holds, (
                 f"{entry_name}: {name}.{result.name}"
             )
-            assert result.witness == legacy_check.witness, (
+            assert result.witness == native_result.witness, (
                 f"{entry_name}: {name}.{result.name} witness"
             )
-        # And the native model agrees wholesale.
-        assert native.consistent(x) == ir_verdict.consistent, entry_name
-        assert native.consistent(x) == native.check(x).consistent
+        assert cat.consistent(x) == cat_verdict.consistent, entry_name
+        assert native.consistent(x) == native_verdict.consistent, entry_name
+        if tm:
+            assert cat_verdict.consistent == golden[entry_name][name], (
+                entry_name
+            )
 
 
 def test_golden_verdicts_unchanged_through_ir():
     """The golden matrix (pre-refactor verdicts) through the IR path."""
-    golden = json.loads(
-        (Path(__file__).parent / "golden_verdicts.json").read_text()
-    )
+    golden = json.loads(GOLDEN.read_text())
     for entry_name, models in golden.items():
         if entry_name.startswith("litmus:"):
             # Litmus-observability rows (frontend↔catalog agreement)

@@ -406,6 +406,19 @@ class TestCampaignService:
         finally:
             service.stop()
 
+    def test_ill_typed_cat_model_rejected_at_submit(self, tmp_path):
+        """A ``.cat`` type error is a bad model spec, not errored cells."""
+        bad = tmp_path / "bad.cat"
+        bad.write_text("acyclic po | W as Order\n")
+        service = self._service(tmp_path)
+        try:
+            with pytest.raises(SpecError, match="bad.cat: .* line 1:12"):
+                service.submit(
+                    JobSpec.from_dict({**DIY2, "models": [f"cat:{bad}"]})
+                )
+        finally:
+            service.stop()
+
     def test_unbuildable_suite_fails_the_job_not_the_service(
         self, tmp_path
     ):
