@@ -31,7 +31,9 @@ Errors are raised at compile time, with the source position of the
 offending expression: :class:`~repro.cat.errors.CatNameError` for an
 unbound name or function, :class:`~repro.cat.errors.CatTypeError` for an
 operator applied to the wrong kind of operand (only ``;`` and checks
-promote an event set to its identity relation), and
+promote an event set to its identity relation) or for a ``let rec``
+binding that is not monotone (a bound name under ``~`` or on the right
+of ``\\``, where the least fixpoint may not exist), and
 :class:`~repro.cat.errors.CatError` for an ``include`` without a loader.
 """
 
@@ -125,6 +127,36 @@ class CompiledModel:
 
 def _err(message: str, node, cls: type[CatError] = CatTypeError) -> CatError:
     return cls(message, node.line, node.col)
+
+
+#: Operators antitone in the argument at the given position.
+_NEGATING = {("compl", 0), ("scompl", 0), ("diff", 1), ("sdiff", 1)}
+
+
+def _negative_var(body: Node) -> int | None:
+    """A fixpoint variable in negative position in ``body``, or ``None``.
+
+    An occurrence is negative when it sits under an odd number of
+    complements and right-hand sides of differences; every other
+    operator is monotone, so a body without negative occurrences is
+    monotone and Kleene iteration from the empty relations reaches its
+    least fixpoint.
+    """
+    seen = set()
+    stack = [(body, False)]
+    while stack:
+        node, negative = stack.pop()
+        if not node.free_vars or (node.id, negative) in seen:
+            continue
+        seen.add((node.id, negative))
+        if node.kind == "var":
+            if negative:
+                return node.token
+            continue
+        for position, arg in enumerate(node.args):
+            flip = (node.kind, position) in _NEGATING
+            stack.append((arg, negative != flip))
+    return None
 
 
 class _Compiler:
@@ -252,6 +284,14 @@ class _Compiler:
             node = self._node(self.compile(body, rec_env), stmt)
             if node.is_set:
                 raise _err(f"let rec {name!r} must be relation-valued", stmt)
+            var = _negative_var(node)
+            if var is not None:
+                raise _err(
+                    f"let rec {name!r} is not monotone: {names[var]!r} "
+                    f"occurs in negative position (under ~ or on the "
+                    f"right of \\), so its least fixpoint may not exist",
+                    body,
+                )
             bodies.append(node)
         body_tuple = tuple(bodies)
         for index, name in enumerate(names):

@@ -35,7 +35,7 @@ from .errors import CatError
 from .library import library_files, library_source
 from .parser import parse
 
-__all__ = ["CatModel", "load_cat_model", "CAT_MODEL_FILES"]
+__all__ = ["CatModel", "cat_file_model", "load_cat_model", "CAT_MODEL_FILES"]
 
 _UNSET = object()
 
@@ -209,13 +209,21 @@ def load_cat_model(name: str, tm: bool = True) -> CatModel:
         model.enforces_coherence = name in CAT_MODEL_FILES.values()
         return model
     if path.is_file():
-        try:
-            return CatModel(path.read_text(), name=path.stem, tm=tm)
-        except CatError as exc:
-            raise type(exc)(
-                f"{name}: {exc.message}", exc.line, exc.col
-            ) from None
+        return cat_file_model(name, path.read_text(), tm=tm)
     raise ValueError(
         f"unknown cat model {name!r}; registry names: "
         f"{', '.join(sorted(CAT_MODEL_FILES))}"
     )
+
+
+def cat_file_model(name: str, source: str, tm: bool = True) -> CatModel:
+    """The model defined by ``source``, the contents of the ``.cat`` file
+    at path ``name``.
+
+    Raises a :class:`CatError` prefixed with ``name`` for a source that
+    does not parse or compile.
+    """
+    try:
+        return CatModel(source, name=Path(name).stem, tm=tm)
+    except CatError as exc:
+        raise type(exc)(f"{name}: {exc.message}", exc.line, exc.col) from None

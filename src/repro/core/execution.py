@@ -20,9 +20,13 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .events import Event, EventKind, Label
-from .relation import Relation, _bits as _mask_bits
+from .relation import Relation, _trusted
 
 __all__ = ["Transaction", "Execution"]
+
+_READ, _WRITE = EventKind.READ, EventKind.WRITE
+#: The ``sloc`` group key of events that access no location.
+_NOT_ACCESS = object()
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,7 @@ class Execution:
             for e in reversed(thread):
                 rows[e] = later
                 later |= 1 << e
-        return Relation(self.n, rows)
+        return _trusted(self.n, tuple(rows))
 
     @cached_property
     def rf_rel(self) -> Relation:
@@ -189,7 +193,7 @@ class Execution:
             for e in reversed(order):
                 rows[e] |= later
                 later |= 1 << e
-        return Relation(self.n, rows)
+        return _trusted(self.n, tuple(rows))
 
     @cached_property
     def addr_rel(self) -> Relation:
@@ -213,16 +217,21 @@ class Execution:
 
     @cached_property
     def sloc(self) -> Relation:
-        """Same-location relation over accesses (reflexive on accesses)."""
-        by_loc: dict[str, int] = {}
-        for i in self.accesses:
-            loc = self.events[i].loc
-            by_loc[loc] = by_loc.get(loc, 0) | (1 << i)
-        rows = [0] * self.n
-        for mask in by_loc.values():
-            for i in _mask_bits(mask):
-                rows[i] = mask
-        return Relation(self.n, rows)
+        """Same-location relation over accesses (reflexive on accesses).
+
+        Accesses whose ``loc`` is ``None`` form one group of their own.
+        """
+        groups: dict[str | None, int] = {}
+        locs = []
+        for i, event in enumerate(self.events):
+            kind = event.kind
+            if kind is _READ or kind is _WRITE:
+                loc = event.loc
+                groups[loc] = groups.get(loc, 0) | (1 << i)
+            else:
+                loc = _NOT_ACCESS
+            locs.append(loc)
+        return _trusted(self.n, tuple([groups.get(loc, 0) for loc in locs]))
 
     @cached_property
     def sthd(self) -> Relation:
@@ -234,21 +243,42 @@ class Execution:
                 mask |= 1 << e
             for e in thread:
                 rows[e] = mask
-        return Relation(self.n, rows)
+        return _trusted(self.n, tuple(rows))
 
     @cached_property
     def fr(self) -> Relation:
         """From-read: ``([R]; sloc; [W]) \\ (rf⁻¹; (co⁻¹)*)``.
 
-        Reads of the initial value (absent from ``rf``) are fr-before every
-        write to the same location, which the formula gives for free since
-        their ``rf⁻¹`` image is empty.
+        Computed on row masks: a read's row is its same-location writes
+        minus its ``rf`` source and that write's ``co``-predecessors
+        (through the transitive closure of ``co``, so the set is the
+        formula's for a malformed ``co`` as well).  A read of the initial
+        value (absent from ``rf``) keeps every same-location write.  The
+        formula built from :class:`Relation` operators is the test oracle
+        (``tests/test_properties.py``).
         """
-        r_sloc_w = Relation.lift(self.n, self.reads).then(
-            self.sloc, Relation.lift(self.n, self.writes)
-        )
-        not_later = self.rf_rel.inverse() @ self.co_rel.inverse().star()
-        return r_sloc_w - not_later
+        n = self.n
+        writes = 0
+        for w in self.writes:
+            writes |= 1 << w
+        co_pred = self.co_rel.inverse()._rows
+        sloc = self.sloc._rows
+        rf = self.rf
+        rows = [0] * n
+        for r in self.reads:
+            row = sloc[r] & writes
+            w = rf.get(r)
+            if w is not None:
+                # ``(co⁻¹)*`` from w: w and every co-predecessor.
+                seen = 1 << w
+                todo = co_pred[w] & ~seen
+                while todo:
+                    low = todo & -todo
+                    seen |= low
+                    todo = (todo | co_pred[low.bit_length() - 1]) & ~seen
+                row &= ~seen
+            rows[r] = row
+        return _trusted(n, tuple(rows))
 
     @cached_property
     def com(self) -> Relation:

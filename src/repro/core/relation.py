@@ -28,6 +28,15 @@ Paper                        Here
 ``[s]``                      ``Relation.lift(n, s)``
 ``domain(r)`` / ``range(r)`` ``r.domain()`` / ``r.codomain()``
 ===========================  ==============================================
+
+Every relation holds ``_rows`` as a ``tuple`` of exactly ``n`` ints, each
+in ``[0, 2**n)``: ``__eq__`` and ``__hash__`` compare that tuple directly,
+and analysis memos use relations as keys.  The public constructor
+``Relation(n, rows)`` establishes the invariant for any input (it copies
+the rows, checks their number and masks out-of-range bits).  The
+operators and constructors whose rows are in range by construction skip
+that work through the private :func:`_trusted`, which must only ever be
+given an already normalised tuple.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ from collections.abc import Iterable, Iterator
 Pair = tuple[int, int]
 
 __all__ = ["Relation", "Pair"]
+
+_new = object.__new__
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -73,18 +84,18 @@ class Relation:
     @classmethod
     def empty(cls, n: int) -> "Relation":
         """The empty relation over a universe of size ``n``."""
-        return cls(n, (0,) * n)
+        return _trusted(n, (0,) * n)
 
     @classmethod
     def full(cls, n: int) -> "Relation":
         """The complete relation (every pair, including the diagonal)."""
         row = (1 << n) - 1
-        return cls(n, (row,) * n)
+        return _trusted(n, (row,) * n)
 
     @classmethod
     def identity(cls, n: int) -> "Relation":
         """The identity relation ``id`` over ``{0, ..., n-1}``."""
-        return cls(n, (1 << i for i in range(n)))
+        return _trusted(n, tuple([1 << i for i in range(n)]))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Pair]) -> "Relation":
@@ -94,7 +105,7 @@ class Relation:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"pair ({a}, {b}) outside universe of size {n}")
             rows[a] |= 1 << b
-        return cls(n, rows)
+        return _trusted(n, tuple(rows))
 
     @classmethod
     def lift(cls, n: int, events: Iterable[int]) -> "Relation":
@@ -102,11 +113,15 @@ class Relation:
         rows = [0] * n
         for e in events:
             rows[e] |= 1 << e
-        return cls(n, rows)
+        return _trusted(n, tuple(rows))
 
     @classmethod
     def cross(cls, n: int, sources: Iterable[int], targets: Iterable[int]) -> "Relation":
-        """The Cartesian product ``sources × targets`` as a relation."""
+        """The Cartesian product ``sources × targets`` as a relation.
+
+        Targets outside the universe are dropped (the public constructor
+        masks them).
+        """
         target_mask = 0
         for t in targets:
             target_mask |= 1 << t
@@ -179,30 +194,33 @@ class Relation:
     # Boolean algebra
     # ------------------------------------------------------------------
 
-    def _check_compatible(self, other: "Relation") -> None:
-        if self.n != other.n:
-            raise ValueError(f"universe mismatch: {self.n} vs {other.n}")
-
     def __or__(self, other: "Relation") -> "Relation":
-        self._check_compatible(other)
-        return Relation(self.n, (a | b for a, b in zip(self._rows, other._rows)))
+        n = self.n
+        if n != other.n:
+            raise ValueError(f"universe mismatch: {n} vs {other.n}")
+        return _trusted(n, tuple([a | b for a, b in zip(self._rows, other._rows)]))
 
     def __and__(self, other: "Relation") -> "Relation":
-        self._check_compatible(other)
-        return Relation(self.n, (a & b for a, b in zip(self._rows, other._rows)))
+        n = self.n
+        if n != other.n:
+            raise ValueError(f"universe mismatch: {n} vs {other.n}")
+        return _trusted(n, tuple([a & b for a, b in zip(self._rows, other._rows)]))
 
     def __sub__(self, other: "Relation") -> "Relation":
-        self._check_compatible(other)
-        return Relation(self.n, (a & ~b for a, b in zip(self._rows, other._rows)))
+        n = self.n
+        if n != other.n:
+            raise ValueError(f"universe mismatch: {n} vs {other.n}")
+        return _trusted(n, tuple([a & ~b for a, b in zip(self._rows, other._rows)]))
 
     def complement(self) -> "Relation":
         """``¬r``: every pair (including the diagonal) not in ``r``."""
         full = (1 << self.n) - 1
-        return Relation(self.n, (full ^ row for row in self._rows))
+        return _trusted(self.n, tuple([full ^ row for row in self._rows]))
 
     def __le__(self, other: "Relation") -> bool:
         """Subset test: every pair of ``self`` is in ``other``."""
-        self._check_compatible(other)
+        if self.n != other.n:
+            raise ValueError(f"universe mismatch: {self.n} vs {other.n}")
         return all(a & ~b == 0 for a, b in zip(self._rows, other._rows))
 
     def __eq__(self, other: object) -> bool:
@@ -221,14 +239,19 @@ class Relation:
 
     def __matmul__(self, other: "Relation") -> "Relation":
         """Relational composition ``self ; other``."""
-        self._check_compatible(other)
+        n = self.n
+        if n != other.n:
+            raise ValueError(f"universe mismatch: {n} vs {other.n}")
+        right = other._rows
         rows = []
         for row in self._rows:
             out = 0
-            for j in _bits(row):
-                out |= other._rows[j]
+            while row:
+                low = row & -row
+                out |= right[low.bit_length() - 1]
+                row ^= low
             rows.append(out)
-        return Relation(self.n, rows)
+        return _trusted(n, tuple(rows))
 
     def then(self, *others: "Relation") -> "Relation":
         """Compose with each relation in ``others`` left-to-right."""
@@ -242,13 +265,17 @@ class Relation:
         rows = [0] * self.n
         for i, row in enumerate(self._rows):
             bit = 1 << i
-            for j in _bits(row):
-                rows[j] |= bit
-        return Relation(self.n, rows)
+            while row:
+                low = row & -row
+                rows[low.bit_length() - 1] |= bit
+                row ^= low
+        return _trusted(self.n, tuple(rows))
 
     def opt(self) -> "Relation":
         """``r?``: reflexive closure."""
-        return Relation(self.n, (row | (1 << i) for i, row in enumerate(self._rows)))
+        return _trusted(
+            self.n, tuple([row | (1 << i) for i, row in enumerate(self._rows)])
+        )
 
     def plus(self) -> "Relation":
         """``r⁺``: transitive closure (Warshall on bitmask rows).
@@ -268,7 +295,7 @@ class Relation:
             for i in range(self.n):
                 if rows[i] & k_bit:
                     rows[i] |= k_row
-        return Relation(self.n, rows)
+        return _trusted(self.n, tuple(rows))
 
     def star(self) -> "Relation":
         """``r*``: reflexive-transitive closure."""
@@ -284,11 +311,13 @@ class Relation:
             (row & target_mask) if i in source_set else 0
             for i, row in enumerate(self._rows)
         ]
-        return Relation(self.n, rows)
+        return _trusted(self.n, tuple(rows))
 
     def remove_diagonal(self) -> "Relation":
         """Drop all reflexive pairs."""
-        return Relation(self.n, (row & ~(1 << i) for i, row in enumerate(self._rows)))
+        return _trusted(
+            self.n, tuple([row & ~(1 << i) for i, row in enumerate(self._rows)])
+        )
 
     def symmetric_closure(self) -> "Relation":
         """``r ∪ r⁻¹``."""
@@ -300,7 +329,7 @@ class Relation:
         for e in events:
             mask |= 1 << e
         rows = [0 if (1 << i) & mask else row & ~mask for i, row in enumerate(self._rows)]
-        return Relation(self.n, rows)
+        return _trusted(self.n, tuple(rows))
 
     # ------------------------------------------------------------------
     # Predicates and witnesses
@@ -394,3 +423,18 @@ class Relation:
     def __repr__(self) -> str:
         shown = ", ".join(f"{a}->{b}" for a, b in self.pairs())
         return f"Relation({self.n}, {{{shown}}})"
+
+
+def _trusted(n: int, rows: tuple[int, ...]) -> Relation:
+    """A :class:`Relation` over ``rows`` without normalising them.
+
+    ``rows`` must already be a ``tuple`` of ``n`` ints in ``[0, 2**n)``
+    (the invariant in the module docstring); only code whose rows are in
+    range by construction calls this: the operators here and the base
+    relations of :class:`~repro.core.execution.Execution`.
+    """
+    rel = _new(Relation)
+    rel.n = n
+    rel._rows = rows
+    rel._hash = None
+    return rel

@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 from functools import cached_property, lru_cache
+from pathlib import Path
 
 from ..core.execution import Execution
 from ..litmus.candidates import forall_holds, observable
@@ -197,9 +198,58 @@ def _cat_file_for(name: str) -> str | None:
     return None
 
 
-@lru_cache(maxsize=None)
+#: File-backed checkers kept per process, least recently used evicted
+#: first: a long-running service that sees many edits stays bounded.
+_CAT_FILE_CACHE_SIZE = 32
+
+
 def resolve_checker(spec: str) -> Checker:
-    """Instantiate the checker named by ``spec`` (memoized per process)."""
+    """Instantiate the checker named by ``spec`` (memoized per process).
+
+    A spec naming a ``.cat`` file on disk is memoized by the file's
+    contents (includes come only from the library, so the file is the
+    whole definition): after an edit, a long-running process resolves
+    the new definition under a new token.  Every other spec is memoized
+    by the spec string.
+    """
+    path = _cat_file_path(spec)
+    if path is None:
+        return _resolve_spec(spec)
+    return _resolve_cat_file(spec, path, Path(path).read_text())
+
+
+def _cat_file_path(spec: str) -> str | None:
+    """The path of the ``.cat`` file on disk that ``spec`` names, or
+    ``None`` when it names anything else (mirrors :func:`_resolve_spec`
+    and :func:`~repro.cat.model.load_cat_model`)."""
+    from ..cat.model import CAT_MODEL_FILES
+
+    if spec.startswith(("hw:", "brute:", "mut:")):
+        return None
+    name, _, suffix = spec.partition("!")
+    if suffix not in ("", "notm"):
+        return None
+    if name.startswith("cat:"):
+        name = name[4:]
+    elif name in MODELS or not name.endswith(".cat"):
+        return None
+    if name in CAT_MODEL_FILES or not Path(name).is_file():
+        return None
+    return name
+
+
+@lru_cache(maxsize=_CAT_FILE_CACHE_SIZE)
+def _resolve_cat_file(spec: str, path: str, source: str) -> Checker:
+    """The checker for ``spec`` while its file at ``path`` holds ``source``."""
+    from ..cat.model import cat_file_model
+
+    tm = not spec.endswith("!notm")
+    return ModelChecker(spec, cat_file_model(path, source, tm=tm))
+
+
+@lru_cache(maxsize=None)
+def _resolve_spec(spec: str) -> Checker:
+    """Instantiate a checker that is not file-backed (memoized by spec)."""
     if spec.startswith("hw:"):
         from ..sim.oracle import oracle_for_spec
 

@@ -185,7 +185,13 @@ def _eval(node: Node, a: CandidateAnalysis, env):
     node_id = node.id
     hit = memo.get(node_id, _MISSING)
     if hit is _MISSING:
-        hit = _compute(node, target, env)
+        # :func:`_compute`, inlined so a computed node costs one frame.
+        STATS.computes += 1
+        shortcut = _SHORTCUTS.get(node_id)
+        if shortcut is not None:
+            hit = shortcut(target)
+        else:
+            hit = _DISPATCH[node.kind](node, target, env)
         memo[node_id] = hit
     else:
         STATS.memo_hits += 1
@@ -327,9 +333,10 @@ def _eval_fix(node: Node, a: CandidateAnalysis) -> tuple[Relation, ...]:
     if hit is not None:
         return hit
     rels = tuple(Relation.empty(a.n) for _ in bodies)
-    # Every operator is monotone, so the chain is increasing and
-    # bounded by the full relation; the step bound guards against
-    # non-monotone misuse (``let rec`` bodies using ``~`` or ``\``).
+    # Monotone bodies give an increasing chain bounded by the full
+    # relation.  A ``.cat`` source with a non-monotone ``let rec`` is
+    # rejected at load (``cat/compile.py``); the step bound guards
+    # hand-built IR.
     max_steps = a.n * a.n * len(bodies) + 8
     for _ in range(max_steps):
         STATS.fix_iterations += 1

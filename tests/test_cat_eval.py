@@ -219,6 +219,21 @@ class TestStatements:
         with pytest.raises(CatTypeError, match="relation-valued"):
             compile_source("let rec s = W")
 
+    @pytest.mark.parametrize("body", ["po \\ r", "po | ~r"])
+    def test_non_monotone_let_rec_rejected_at_load(self, body):
+        with pytest.raises(
+            CatTypeError, match=r"let rec 'r' is not monotone.* line 1:"
+        ):
+            compile_source(f"let rec r = {body}")
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [("(po | r) \\ rf", "po \\ rf"), ("~~r", "0")],
+    )
+    def test_positive_let_rec_accepted(self, mp, body, expected):
+        compiled = compile_source(f"let rec r = {body}")
+        assert binding(compiled, "r", mp) == evaluate_expr(expected, mp)
+
     def test_failing_check_reported(self, mp):
         model = CatModel("acyclic po | po^-1 as Bad")
         verdict = model.check(mp)

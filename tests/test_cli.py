@@ -401,6 +401,8 @@ class TestBadCatFiles:
         "syntax": ("let hb = po |\nacyclic hb as Order\n", "line 2:1"),
         # A relation joined with an event set.
         "type": ("let hb = po | W\nacyclic hb as Order\n", "line 1:13"),
+        # A `let rec` whose bound name occurs on the right of `\`.
+        "nonmono": ("let rec r = po \\ r\nacyclic r as T\n", "line 1:16"),
         "missing": (None, "no such .cat file"),
     }
 

@@ -30,7 +30,7 @@ from repro.core.analysis import analyze
 from repro.core.builder import ExecutionBuilder
 from repro.ir import ir_definition, prelude as P
 from repro.ir import nodes as N
-from repro.ir.eval import _SHORTCUTS, evaluate
+from repro.ir.eval import _SHORTCUTS, STATS, evaluate
 from repro.ir.model import IRAxiom
 from repro.models.base import canonical_cycle, witness_for
 from repro.models.registry import get_model, model_names
@@ -165,6 +165,23 @@ class TestEvaluation:
         a = analyze(x)
         assert evaluate(P.stxn, a.baseline).is_empty()
         assert not evaluate(P.stxn, a).is_empty()
+
+    def test_stats_count_computes_and_memo_hits(self):
+        """One ``STATS.computes`` per node computed (a shortcut node
+        counts once, its operands not at all) and one
+        ``STATS.memo_hits`` per memo reuse; telemetry reports them as
+        ``ir_node_computes`` and ``ir_memo_hits``."""
+        x = CATALOG["fig2"].execution
+        shared = P.po @ P.rf
+        node = shared | shared.inverse()
+        cases = [(node, 2, (5, 2)), (P.com, 1, (1, 0))]
+        for root, times, expected in cases:
+            fresh = analyze(x.with_txns(x.txns))
+            computes, hits = STATS.computes, STATS.memo_hits
+            for _ in range(times):
+                evaluate(root, fresh)
+            delta = (STATS.computes - computes, STATS.memo_hits - hits)
+            assert delta == expected, root
 
 
 def _all_interned():

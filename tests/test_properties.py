@@ -15,17 +15,20 @@ the properties assert the semantic relationships the paper relies on:
   candidates of its generated test.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import Event, EventKind, Label
 from repro.core.execution import Execution, Transaction
+from repro.core.relation import Relation
 from repro.core.wellformed import is_wellformed
 from repro.litmus.candidates import candidate_executions
 from repro.litmus.from_execution import to_litmus
 from repro.models.isolation import strongly_isolated, weakly_isolated
 from repro.models.registry import get_model
 from repro.synth.canonical import canonical_key
+from repro.synth.generate import EnumerationSpace, enumerate_executions
+from repro.synth.minimality import weakenings
 
 MAX_EVENTS = 5
 LOCS = ["x", "y"]
@@ -213,10 +216,33 @@ def test_litmus_roundtrip_candidate_exists(x):
     )
 
 
+def _sloc_definition(x):
+    """Pairs of accesses with equal ``loc`` (``None`` included)."""
+    return Relation.from_pairs(
+        x.n,
+        [
+            (a, b)
+            for a in x.accesses
+            for b in x.accesses
+            if x.events[a].loc == x.events[b].loc
+        ],
+    )
+
+
+def _fr_formula(x):
+    """``([R]; sloc; [W]) \\ (rf⁻¹; (co⁻¹)*)`` from public operators."""
+    r_sloc_w = Relation.lift(x.n, x.reads).then(
+        _sloc_definition(x), Relation.lift(x.n, x.writes)
+    )
+    return r_sloc_w - x.rf_rel.inverse() @ x.co_rel.inverse().star()
+
+
 @settings(max_examples=80, deadline=None)
 @given(executions())
 def test_fr_definition_consistency(x):
-    """fr relates each read to exactly the co-successors of its source."""
+    """fr relates each read to exactly the co-successors of its source,
+    and equals its defining formula."""
+    assert x.fr == _fr_formula(x)
     for r in x.reads:
         loc = x.events[r].loc
         same_loc_writes = {
@@ -230,6 +256,63 @@ def test_fr_definition_consistency(x):
             pos = order.index(src)
             expected = set(order[pos + 1:])
         assert {b for a, b in x.fr.pairs() if a == r} == expected
+
+
+@st.composite
+def malformed_executions(draw):
+    """Executions with arbitrary ``rf`` and ``co``: a read may read from
+    any event, and a ``co`` list may repeat events, hold non-writes, or
+    share them with another location's list, so ``co`` need not be
+    transitive."""
+    n = draw(st.integers(1, MAX_EVENTS + 1))
+    kinds = [EventKind.READ, EventKind.WRITE, EventKind.FENCE]
+    events = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(kinds))
+        loc = None if kind is EventKind.FENCE else draw(st.sampled_from(LOCS))
+        events.append(Event(kind, loc))
+    ids = st.integers(0, n - 1)
+    rf = draw(st.dictionaries(ids, ids))
+    co = draw(st.dictionaries(st.sampled_from(LOCS), st.lists(ids, max_size=4)))
+    return Execution(events=events, threads=[list(range(n))], rf=rf, co=co)
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_executions())
+@example(
+    # co relates 1 -> 2 and 2 -> 3 but not 1 -> 3: only the transitive
+    # closure of co removes write 1 from the read's fr row.
+    Execution(
+        events=[Event(EventKind.READ, "x")]
+        + [Event(EventKind.WRITE, "x")] * 3,
+        threads=[[0, 1, 2, 3]],
+        rf={0: 3},
+        co={"x": (2, 3), "y": (1, 2)},
+    )
+)
+def test_direct_relations_match_formulas_on_malformed_executions(x):
+    fr = _fr_formula(x)
+    assert x.fr == fr
+    assert x.sloc == _sloc_definition(x)
+    assert x.com == x.rf_rel | x.co_rel | fr
+
+
+def test_base_relations_match_operator_definitions():
+    """``fr``, ``sloc`` and ``com`` are computed directly on row masks;
+    each must equal its operator definition on every x86 execution with
+    three events and on each of its one-step weakenings (which include
+    executions no enumeration would produce)."""
+    space = EnumerationSpace.for_arch("x86", 3)
+    checked = 0
+    for x in enumerate_executions(space):
+        for y in (x, *weakenings(x, space.vocab)):
+            sloc = _sloc_definition(y)
+            fr = _fr_formula(y)
+            assert y.sloc == sloc
+            assert y.fr == fr
+            assert y.com == y.rf_rel | y.co_rel | fr
+            checked += 1
+    assert checked > 10_000
 
 
 @settings(max_examples=80, deadline=None)

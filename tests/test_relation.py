@@ -1,5 +1,7 @@
 """Unit and property tests for the bitset relation algebra."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Relation(3, [0, 0])
 
+    def test_out_of_range_bits_dropped(self):
+        """The public constructor and ``cross`` normalise their input:
+        bits at or beyond ``n`` never reach ``_rows``."""
+        r = Relation(2, [0b1110, 0b101])
+        assert r._rows == (0b10, 0b01)
+        assert r == rel(2, (0, 1), (1, 0))
+        c = Relation.cross(2, [0, 1], [1, 2, 5])
+        assert c._rows == (0b10, 0b10)
+        assert c == rel(2, (0, 1), (1, 1))
+
 
 class TestInspection:
     def test_domain_codomain(self):
@@ -112,9 +124,19 @@ class TestBooleanAlgebra:
         assert rel(3, (0, 1)) <= rel(3, (0, 1), (1, 2))
         assert not rel(3, (2, 0)) <= rel(3, (0, 1))
 
-    def test_universe_mismatch(self):
-        with pytest.raises(ValueError):
-            rel(2, (0, 1)) | rel(3, (0, 1))
+    @pytest.mark.parametrize(
+        "op",
+        [
+            pytest.param(operator.or_, id="or"),
+            pytest.param(operator.and_, id="and"),
+            pytest.param(operator.sub, id="sub"),
+            pytest.param(operator.matmul, id="matmul"),
+            pytest.param(operator.le, id="le"),
+        ],
+    )
+    def test_universe_mismatch(self, op):
+        with pytest.raises(ValueError, match="universe mismatch"):
+            op(rel(2, (0, 1)), rel(3, (0, 1)))
 
     def test_hash_eq(self):
         assert rel(3, (0, 1)) == rel(3, (0, 1))

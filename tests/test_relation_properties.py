@@ -202,3 +202,52 @@ class TestAcyclicityAndTopologicalOrder:
             assert r.is_acyclic()
             order = self._topological_order(r)
             assert order == chain
+
+
+class TestConstructionInvariant:
+    """Operators build their results without re-normalising the rows
+    (:func:`repro.core.relation._trusted`), so every result must
+    already satisfy the invariant the public constructor enforces:
+    ``_rows`` is a tuple of ``n`` ints in ``[0, 2**n)``, and the value
+    equals (and hashes like) its public reconstruction."""
+
+    @staticmethod
+    def _results(r, s):
+        n = r.n
+        events = [e for e in range(n) if e % 2 == 0]
+        yield from (
+            r | s,
+            r & s,
+            r - s,
+            r.complement(),
+            r @ s,
+            r.then(s, r),
+            r.inverse(),
+            r.opt(),
+            r.plus(),
+            r.star(),
+            r.restrict(events, range(n)),
+            r.remove_diagonal(),
+            r.symmetric_closure(),
+            r.without_events(events),
+            r.map_events(n, {e: n - 1 - e for e in range(n)}),
+            Relation.empty(n),
+            Relation.full(n),
+            Relation.identity(n),
+            Relation.lift(n, events),
+            Relation.cross(n, events, range(n)),
+            Relation.from_pairs(n, r.pairs()),
+            Relation.total_order(n, reversed(range(n))),
+        )
+
+    def test_operator_results_are_normalised(self):
+        for r, s, _ in SAMPLES:
+            for out in self._results(r, s):
+                assert out.n == r.n
+                assert type(out._rows) is tuple
+                assert len(out._rows) == out.n
+                for row in out._rows:
+                    assert type(row) is int and 0 <= row < 1 << out.n
+                public = Relation(out.n, out._rows)
+                assert out == public
+                assert hash(out) == hash(public)

@@ -419,6 +419,35 @@ class TestCampaignService:
         finally:
             service.stop()
 
+    def test_edited_cat_file_is_checked_afresh(self, tmp_path):
+        """Editing a ``cat:`` file between two submits changes the
+        definition the service checks: the second job computes every
+        cell again, under a new token, with the new verdicts."""
+        model = tmp_path / "edited.cat"
+        model.write_text("acyclic po | rf | co | fr as SC\n")
+        spec = JobSpec.from_dict({**DIY2, "models": [f"cat:{model}"]})
+        service = self._service(tmp_path)
+        try:
+            first = _wait_done(service, service.submit(spec))
+            model.write_text("acyclic rf as R\n")
+            second = _wait_done(service, service.submit(spec))
+        finally:
+            service.stop()
+        assert first.state == second.state == "done"
+        assert second.cached_cells == 0
+        assert second.computed_cells == second.total_cells == 5
+        assert not all(c["verdict"] for c in first.cells)
+        assert all(c["verdict"] for c in second.cells)
+        tokens = [
+            json.loads(
+                (tmp_path / "runs")
+                .joinpath(os.path.basename(job.manifest_path))
+                .read_text()
+            )["models"][f"cat:{model}"]
+            for job in (first, second)
+        ]
+        assert tokens[0] != tokens[1]
+
     def test_unbuildable_suite_fails_the_job_not_the_service(
         self, tmp_path
     ):
