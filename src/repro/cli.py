@@ -250,7 +250,11 @@ def _cmd_campaign(args) -> int:
         items = catalog_suite()
     else:
         vocab = args.vocab.split(",") if args.vocab else None
-        items = diy_suite(args.arch, vocab, args.length)
+        try:
+            items = diy_suite(args.arch, vocab, args.length)
+        except ValueError as exc:  # an unknown edge name
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if not items:
         print("empty suite")
         return 1
@@ -781,10 +785,14 @@ def _cmd_diy(args) -> int:
     from .synth.diy import cycle_execution, enumerate_cycles
 
     model = get_model(args.model)
-    vocab = args.vocab.split(",")
+    try:
+        cycles = enumerate_cycles(args.vocab.split(","), args.length)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     shown = 0
     total = 0
-    for cycle in enumerate_cycles(vocab, args.length):
+    for cycle in cycles:
         total += 1
         execution = cycle_execution(cycle)
         forbidden = not model.consistent(execution)

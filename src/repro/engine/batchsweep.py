@@ -13,9 +13,10 @@ yields hundreds of candidates sharing a universe size.
 1. **Collect** — for every pending cell whose checker is a plain
    batchable :class:`~repro.engine.checkers.ModelChecker`, pull the
    exact candidate set the scalar verdict quantifies over (the
-   postcondition-filtered stream for ``exists``, the refuting candidates
-   for ``forall``, the bare execution for execution payloads), bounded
-   by :data:`PREFILL_STREAM_CAP`;
+   postcondition-filtered stream for ``exists``, pruned of incoherent
+   candidates when every batchable checker of the item enforces
+   coherence; the refuting candidates for ``forall``; the bare execution
+   for execution payloads), bounded by :data:`PREFILL_STREAM_CAP`;
 2. **Sweep** — bucket every collected execution by universe size, build
    one :class:`~repro.ir.batch.BatchContext` per bucket, and run each
    participating model's batched kernel (:func:`repro.ir.plan.
@@ -186,17 +187,24 @@ def _collect(units) -> list[_Cell]:
     cells: list[_Cell] = []
     resolved: dict = {}
     for name, payload, checkers, _telemetry in units:
+        batchable = [
+            (checker, resolution)
+            for checker in checkers
+            if (resolution := _resolve_batchable(checker, resolved))
+            is not None
+        ]
+        # An incoherent candidate is inconsistent under every gated
+        # model, so when all of them are gated the ``exists`` stream is
+        # pruned of those candidates before any execution is built —
+        # the memo entry the per-cell ``observable`` path reads too.
+        coherent_only = all(gate for _, (_, gate) in batchable)
         # Checkers of one item share the candidate stream; walking it
         # (and applying the postcondition) once per *quantifier*, not
         # once per checker or per coherence gate, matters on suites of
         # hundreds of small tests.  ``prefixes`` maps a quantifier to
         # ``(pairs, exhausted, per-gate executions)``.
         prefixes: dict[str, tuple | None] = {}
-        for checker in checkers:
-            batchable = _resolve_batchable(checker, resolved)
-            if batchable is None:
-                continue
-            definition, gate = batchable
+        for checker, (definition, gate) in batchable:
             if isinstance(payload, Execution):
                 cell = _Cell(name, checker, definition, "exec")
                 cell.executions.append(payload)
@@ -221,7 +229,7 @@ def _collect(units) -> list[_Cell]:
                         ) + ({},)
                     else:
                         prefix = _collect_stream(
-                            iter(expand_test(payload, False)), None
+                            iter(expand_test(payload, coherent_only)), None
                         ) + ({},)
                 except Exception as exc:
                     # The per-cell path reports the error, if it recurs.

@@ -23,9 +23,10 @@ pool tasks.  Unknown options — such as the retired ``batch`` and
 ``codegen`` knobs older clients still send — are ignored.
 
 Job lifecycle: ``queued`` → ``running`` → ``done`` | ``failed``.  A job
-*fails* only when its suite cannot be built (bad paths, bad model
-specs); checker crashes, timeouts, and dead workers degrade to poisoned
-cells inside a ``done`` job.
+*fails* only when its suite cannot be built (bad paths, a bad diy
+arch); a malformed spec, including an unknown diy edge name, is a
+:class:`SpecError` at submit.  Checker crashes, timeouts, and dead
+workers degrade to poisoned cells inside a ``done`` job.
 """
 
 from __future__ import annotations
@@ -90,6 +91,22 @@ class JobSpec:
                 raise SpecError("files suite needs 'paths': [str, ...]")
             if not paths:
                 raise SpecError("files suite has no paths")
+        if kind == "diy":
+            from ..synth.diy import edge
+
+            vocab = suite.get("vocab")
+            if vocab is not None:
+                if not isinstance(vocab, list) or not all(
+                    isinstance(name, str) for name in vocab
+                ):
+                    raise SpecError(
+                        "diy suite needs 'vocab': null | [str, ...]"
+                    )
+                for name in vocab:
+                    try:
+                        edge(name)
+                    except ValueError as exc:
+                        raise SpecError(str(exc)) from None
         models = data.get("models")
         if (
             not isinstance(models, list)

@@ -39,7 +39,8 @@ from repro.core.analysis import analyze
 from repro.core.execution import Execution
 from repro.core.relation import Relation
 from repro.engine.batchsweep import assemble_shards, plan_shards, run_shard
-from repro.engine.campaign import litmus_suite, run_campaign
+from repro.engine import batchsweep
+from repro.engine.campaign import diy_suite, litmus_suite, run_campaign
 from repro.engine.checkers import resolve_checker
 from repro.ir import nodes as N
 from repro.ir.batch import HAVE_NUMPY, BatchContext, pack_relations, pack_sets
@@ -450,8 +451,6 @@ class TestPrefillFallbacks:
     def test_prefill_crash_in_a_serial_campaign_falls_back(
         self, monkeypatch
     ):
-        from repro.engine import batchsweep
-
         items = self._x86_corpus()
         scalar = _campaign_verdicts(items, self.SPECS, 0)
 
@@ -466,6 +465,36 @@ class TestPrefillFallbacks:
         assert batched == scalar
         assert STATS.prefill_fallbacks - before == 1
         assert len(self._fallback_warnings(caught)) == 1
+
+
+class TestCoherencePrunedPrefill:
+    """When every batchable checker of an item enforces coherence, the
+    prefill collects the coherence-pruned ``exists`` stream; a single
+    ungated checker (a mutant without its Coherence axiom) brings back
+    the full walk.  Verdicts equal the scalar path's either way."""
+
+    @pytest.mark.parametrize(
+        "extra, gated",
+        [([], True), (["mut:x86:Coherence"], False)],
+        ids=["native", "with-ungated-mutant"],
+    )
+    def test_collection_follows_the_gates(self, monkeypatch, extra, gated):
+        items = diy_suite("power", max_length=5)
+        specs = sorted(MODELS) + extra
+        flags = []
+        real = batchsweep.expand_test
+
+        def spy(test, coherent_only=False):
+            flags.append(coherent_only)
+            return real(test, coherent_only)
+
+        monkeypatch.setattr(batchsweep, "expand_test", spy)
+        scalar = _campaign_verdicts(items, specs, 0)
+        assert not flags, "the scalar path collected a prefill stream"
+        batched = _campaign_verdicts(items, specs, 64)
+        assert len(flags) == len(items)
+        assert set(flags) == {gated}
+        assert batched == scalar
 
 
 # ----------------------------------------------------------------------

@@ -424,3 +424,25 @@ class TestBadCatFiles:
         assert f"error: {path}: " in err
         assert where in err
         assert "Traceback" not in err
+
+
+class TestUnknownDiyEdge:
+    """An unknown diy edge name is a usage error: exit 2 with the known
+    names and no traceback, from ``repro diy`` and a diy campaign alike
+    (exit 1 would read as a violated expectation)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diy", "--vocab", "PodXY,Rfe", "--length", "3"],
+            ["campaign", "--suite", "diy", "--vocab", "PodXY,Rfe",
+             "--length", "3", "--models", "x86", "--no-cache"],
+        ],
+        ids=["diy", "campaign"],
+    )
+    def test_exits_two(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: unknown edge 'PodXY'; known: " in captured.err
+        assert "Traceback" not in captured.out + captured.err

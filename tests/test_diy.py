@@ -1,15 +1,19 @@
 """Tests for the Diy-style critical-cycle generator (paper §9 related
 work: Diy "generates litmus tests by enumerating relaxations of SC")."""
 
+import itertools
+
 import pytest
 
 from repro.catalog import CATALOG
+from repro.conformance.generators import DIY_VOCABS
 from repro.models.registry import get_model
 from repro.synth.diy import (
     CLASSIC_CYCLES,
     COM_EDGES,
     Cycle,
     DEP_EDGES,
+    Edge,
     FENCE_EDGES,
     PO_EDGES,
     TXN_EDGES,
@@ -225,3 +229,72 @@ class TestEnumeration:
 
         for cycle in enumerate_cycles(self.VOCAB + ["PosWW", "PosRR"], 3):
             assert not check_wellformed(cycle_execution(cycle)), str(cycle)
+
+
+def product_filter(vocabulary, max_length, min_length=2):
+    """The product filter ``enumerate_cycles`` was before it became a
+    necklace search, verbatim: the sequence oracle for the search."""
+    vocab = [e if isinstance(e, Edge) else edge(e) for e in vocabulary]
+    seen: set[tuple[str, ...]] = set()
+    for length in range(min_length, max_length + 1):
+        for combo in itertools.product(vocab, repeat=length):
+            cycle = Cycle(tuple(combo))
+            if not cycle.is_valid():
+                continue
+            key = tuple(e.name for e in cycle.canonical().edges)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield cycle.canonical()
+
+
+BASE_VOCAB = ["PodWR", "PodWW", "PodRR", "PodRW", "Rfe", "Fre", "Wse"]
+TXN_VOCAB = BASE_VOCAB + ["TxndWR", "TxndWW", "TxndRR", "TxndRW"]
+
+#: id -> (vocabulary, max_length, min_length)
+ORACLE_CASES = {
+    "base-l6": (BASE_VOCAB, 6, 2),
+    "tm-l5": (TXN_VOCAB, 5, 2),
+    **{f"{arch}-l4": (vocab, 4, 2) for arch, vocab in DIY_VOCABS.items()},
+    "repeated-name": (["Rfe", "PodRR", "Fre", "Rfe", "PodWW", "PodRR"], 6, 2),
+    "min-length-4": (BASE_VOCAB, 5, 4),
+    "base-pos": (BASE_VOCAB + ["PosWW", "PosRR"], 5, 2),
+    "wse-from-1": (["Wse"], 5, 1),
+    "empty": ([], 5, 2),
+    "max-below-min": (BASE_VOCAB, 3, 4),
+}
+
+
+class TestSearchMatchesProductFilter:
+    """The necklace search yields the product filter's *sequence*, not
+    just its set: the fuzzer takes the first N cycles, so the order is
+    observable in its streams and in ``repro diy`` output."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_identical_sequence(self, case):
+        vocab, max_length, min_length = ORACLE_CASES[case]
+        got = enumerate_cycles(vocab, max_length, min_length)
+        want = product_filter(vocab, max_length, min_length)
+        assert [str(c) for c in got] == [str(c) for c in want]
+
+    @pytest.mark.parametrize(
+        "vocab, count", [(BASE_VOCAB, 1526), (TXN_VOCAB, 25808)],
+        ids=["base", "tm"],
+    )
+    def test_length_7_counts(self, vocab, count):
+        # Too slow for the oracle: 960k and 21M product tuples.
+        assert sum(1 for _ in enumerate_cycles(vocab, 7)) == count
+
+    def test_lazy(self):
+        # The first cycle comes without searching the longer lengths.
+        first = next(iter(enumerate_cycles(TXN_VOCAB, 40)))
+        assert len(first.edges) == 2
+
+    @pytest.mark.parametrize("min_length", [0, -1])
+    def test_min_length_below_one_rejected(self, min_length):
+        with pytest.raises(ValueError, match="at least one edge"):
+            enumerate_cycles(BASE_VOCAB, 3, min_length=min_length)
+
+    def test_unknown_edge_rejected_at_the_call(self):
+        with pytest.raises(ValueError, match="unknown edge 'PodXY'"):
+            enumerate_cycles(["PodXY", "Rfe"], 3)

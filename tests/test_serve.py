@@ -296,11 +296,29 @@ class TestJobSpec:
                 "models": ["x86"],
                 "options": {"shards": 0},
             },
+            {"suite": {"kind": "diy", "vocab": "Rfe"}, "models": ["x86"]},
+            {"suite": {"kind": "diy", "vocab": [1]}, "models": ["x86"]},
         ],
     )
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(SpecError):
             JobSpec.from_dict(bad)
+
+    def test_unknown_diy_edge_rejected_at_submit(self):
+        # An edge-name lookup touches no filesystem, so a typo is a 400
+        # at submit rather than a job that is queued and then fails.
+        with pytest.raises(SpecError, match="unknown edge 'PodXY'; known: "):
+            JobSpec.from_dict(
+                {
+                    "suite": {"kind": "diy", "vocab": ["PodXY", "Rfe"]},
+                    "models": ["x86"],
+                }
+            )
+        spec = JobSpec.from_dict(
+            {"suite": {"kind": "diy", "vocab": ["Rfe", "Fre"]},
+             "models": ["x86"]}
+        )
+        assert spec.suite["vocab"] == ["Rfe", "Fre"]
 
 
 # ----------------------------------------------------------------------
