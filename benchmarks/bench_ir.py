@@ -6,8 +6,9 @@ Measures what the IR layer buys a campaign:
   native models (fresh executions each round, so the per-candidate memo
   works but nothing is pre-warmed), measured scalar
   (``model.consistent`` per execution) and batched
-  (``repro.ir.plan.consistent_batch`` over same-universe stacks), with
-  the ratio reported as ``batch_vs_scalar_speedup``;
+  (``repro.ir.plan.consistent_on`` over a context of each
+  same-universe stack), with the ratio reported as
+  ``batch_vs_scalar_speedup``;
 * cross-model sharing — the static DAG statistic: how many interned
   nodes the full model roster (native + ``.cat``) needs, versus the sum
   of each model compiled alone.  The acceptance bar for the IR refactor
@@ -57,18 +58,17 @@ def _sweep_all_models_batched(executions) -> int:
     """The same workload through the compiled per-model plans: bucket
     the executions by universe size and run every model's plan over
     each whole bucket."""
-    from repro.ir.plan import consistent_batch
+    from repro.ir.batch import BatchContext
+    from repro.ir.plan import consistent_on
 
-    buckets: dict[int, list] = {}
-    for x in executions:
-        buckets.setdefault(x.n, []).append(x)
+    buckets = _bucketed(executions)
     evals = 0
     for name in model_names():
         model = get_model(name)
         definition = model.batch_definition()
         assert definition is not None
         for stack in buckets.values():
-            consistent_batch(model, definition, stack)
+            consistent_on(model, definition, BatchContext.of(stack))
             evals += len(model.axioms()) * len(stack)
     return evals
 

@@ -233,7 +233,6 @@ def _cmd_campaign(args) -> int:
         litmus_suite,
         run_campaign,
     )
-    from .litmus.candidates import batch_size
     from .obs import manifest as obs_manifest
     from .obs import telemetry as obs_telemetry
 
@@ -249,7 +248,7 @@ def _cmd_campaign(args) -> int:
     elif args.suite == "catalog":
         items = catalog_suite()
     else:
-        vocab = args.vocab.split(",") if args.vocab else None
+        vocab = None if args.vocab is None else args.vocab.split(",")
         try:
             items = diy_suite(args.arch, vocab, args.length)
         except ValueError as exc:  # an unknown edge name
@@ -295,7 +294,6 @@ def _cmd_campaign(args) -> int:
                     cache=cache,
                     argv=sys.argv[1:],
                     snapshot=bundle.snapshot(),
-                    extra={"batch": batch_size()},
                 )
     finally:
         if bundle is not None:
@@ -386,7 +384,7 @@ def _submit_suite(args) -> dict:
         }
     if args.suite == "catalog":
         return {"kind": "catalog"}
-    vocab = args.vocab.split(",") if args.vocab else None
+    vocab = None if args.vocab is None else args.vocab.split(",")
     return {
         "kind": "diy",
         "arch": args.arch,
@@ -517,7 +515,6 @@ def _cmd_jobs(args) -> int:
 def _cmd_fuzz(args) -> int:
     from .conformance import reproducible_seed, run_fuzz
     from .conformance.report import to_json_lines, to_markdown
-    from .litmus.candidates import batch_size
     from .obs import manifest as obs_manifest
     from .obs import telemetry as obs_telemetry
 
@@ -553,7 +550,6 @@ def _cmd_fuzz(args) -> int:
                     cache=cache,
                     argv=sys.argv[1:],
                     snapshot=bundle.snapshot(),
-                    extra={"batch": batch_size()},
                 )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,8 +6,9 @@ brute-force enumerator a materialised cross-product, so both run only on
 tests below their per-budget size caps (larger tests are still
 cross-checked native-vs-``.cat``, which scale much further).
 
-``smoke`` is the CI tier — seconds per architecture; ``small`` is the
-default interactive tier; ``medium``/``large`` are overnight sweeps.
+``smoke`` is the test-suite tier — seconds per architecture; ``small``
+is the default interactive tier and CI's fuzz job; ``medium``/``large``
+are overnight sweeps.
 """
 
 from __future__ import annotations

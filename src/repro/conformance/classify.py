@@ -12,7 +12,9 @@ not one condition:
   the model forbids is a ⊆-violation — the §6.2 RTL-bug shape.
 * **enumeration-split** — the constraint-pruned incremental candidate
   search and the brute-force cross-product drive the *same* model; a
-  different verdict means an enumeration bug.
+  different verdict means an enumeration bug, or a kernel fault: the
+  native column is decided by the campaign prefill's batched kernels,
+  the ``brute:`` column candidate by candidate on the scalar reference.
 * **mutant-disagreement** — an injected weakening fired.  For mutants
   this is the *desired* outcome (detection); the fuzzer tracks them
   separately and fails when a mutant is **not** detected.

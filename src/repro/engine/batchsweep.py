@@ -3,10 +3,13 @@
 The campaign engine's unit of work is one (test, checker) cell, but the
 corpus-shaped workload is hundreds of *small* tests: each test's
 postcondition-filtered candidate stream holds a handful of candidates,
-so within-stream chunking (:func:`repro.litmus.candidates.
-_batched_consistent_stream`) never accumulates a batch worth kerneling.
-The batch dimension that *is* large lives across items: the whole suite
-yields hundreds of candidates sharing a universe size.
+too few to be worth a kernel.  The batch dimension that *is* large lives
+across items: the whole suite yields hundreds of candidates sharing a
+universe size.  This prefill is therefore the only batched path, and
+the only caller of :func:`repro.ir.plan.consistent_on`; the per-cell
+path it falls back to, the ``brute:`` oracle and the axiomatic ``hw:``
+oracles check candidates one at a time on the scalar reference
+(:mod:`repro.ir.eval`).
 
 :func:`prefill_units` exploits that before the per-cell loop runs:
 
@@ -58,7 +61,8 @@ from ..core.execution import Execution
 from ..ir import plan as ir_plan
 from ..ir.batch import BatchContext
 from ..ir.eval import STATS
-from ..litmus.candidates import batch_size, candidate_executions, expand_test
+from ..litmus import candidates as litmus_candidates
+from ..litmus.candidates import candidate_executions, expand_test
 from ..litmus.test import LitmusTest
 from ..obs import telemetry as obs_telemetry
 from ..obs import trace
@@ -82,9 +86,9 @@ CELL_TIMEOUT = 60.0
 
 #: Per-cell candidate cap for the collect phase: a stream still going
 #: after this many (post-filter) candidates is a big test, and big tests
-#: are exactly where the per-cell chunked early exit beats speculative
-#: full expansion — the cell falls back unless its prefix already
-#: decides the verdict.
+#: are exactly where the per-cell path's early exit (it stops at the
+#: first witness) beats speculative full expansion — the cell falls back
+#: unless its prefix already decides the verdict.
 PREFILL_STREAM_CAP = 256
 
 #: Kernel sweeps over a bucket are chunked at this many executions to
@@ -258,9 +262,10 @@ def prefill_units(units):
     shape ``(name, spec, verdict, elapsed, None)`` and the set of
     ``(name, spec)`` pairs they cover; every uncovered pending cell must
     still go through the per-cell path.  A no-op (empty results) when
-    batching is off.
+    :func:`~repro.litmus.candidates.set_batch_size` turned the prefill
+    off.
     """
-    if batch_size() <= 1:
+    if not litmus_candidates._prefill:
         return [], set()
     start = time.perf_counter()
     cells = _collect(units)

@@ -459,14 +459,15 @@ def diy_suite(
 
     Each critical cycle over the vocabulary becomes one litmus test via
     :func:`~repro.litmus.from_execution.to_litmus`, so campaign verdicts
-    have :func:`~repro.litmus.candidates.observable` semantics.
+    have :func:`~repro.litmus.candidates.observable` semantics.  No
+    vocabulary means the seven-edge default; an empty one builds an
+    empty suite.
     """
     from ..litmus.from_execution import to_litmus
     from ..synth.diy import cycle_execution, enumerate_cycles
 
-    vocabulary = list(
-        vocabulary or ("PodWR", "PodWW", "PodRR", "PodRW", "Rfe", "Fre", "Wse")
-    )
+    if vocabulary is None:
+        vocabulary = ("PodWR", "PodWW", "PodRR", "PodRW", "Rfe", "Fre", "Wse")
     out = []
     for cycle in enumerate_cycles(vocabulary, max_length):
         name = "diy-" + "+".join(e.name for e in cycle.edges)

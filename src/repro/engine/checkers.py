@@ -164,10 +164,13 @@ class BruteForceChecker(Checker):
 
     Semantically identical to the :class:`ModelChecker` for the same
     model — any verdict difference is an *enumeration split*: a bug in
-    the constraint-pruned incremental search (or in the brute-force
+    the constraint-pruned incremental search or in the batched kernels
+    that decide the :class:`ModelChecker`'s cells (or in the brute-force
     reference).  The differential fuzzer runs this on small tests as its
     ground-truth oracle; it shares nothing with the pruned path (no
-    memoized expansion, no coherence gating, no postcondition pushing).
+    memoized expansion, no coherence gating, no postcondition pushing)
+    and no evaluator with the kernels: every candidate is checked on the
+    scalar reference.
     """
 
     def __init__(self, spec: str, model: MemoryModel) -> None:

@@ -22,11 +22,11 @@ array operations over ``rf``/``co``/``loc``; the rest are packed from
 each candidate's scalar analysis (:func:`repro.ir.batch.
 pack_relations`).
 
-:func:`consistent_batch` and :func:`consistent_on` are the engine-facing
-entries: verdicts for a stack of same-universe executions under one
-model, with the scalar path's ``tm`` baseline handling, telemetry
-stages, and the scalar fallback for small stacks and unbuildable
-kernels.
+:func:`consistent_on` is the one kernel entry, called only by the
+campaign prefill (:func:`repro.engine.batchsweep.prefill_units`):
+verdicts for a stack of same-universe executions under one model, with
+the scalar path's ``tm`` baseline handling, telemetry stages, and the
+scalar fallback for small stacks and unbuildable kernels.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .nodes import Node
 __all__ = [
     "BatchPlan",
     "base_value",
-    "consistent_batch",
     "consistent_on",
     "kernel_floor",
     "plan_for",
@@ -321,23 +320,13 @@ def plan_for(token: str, definition, n: int) -> BatchPlan:
 
 
 # ----------------------------------------------------------------------
-# Entry points
+# Entry point
 # ----------------------------------------------------------------------
 
 
-def consistent_batch(model, definition, executions) -> list[bool]:
-    """Batched :meth:`MemoryModel.consistent` over same-universe
-    executions (see :func:`consistent_on`)."""
-    if not executions:
-        return []
-    floor = kernel_floor(model.definition_token(), executions[0].n)
-    if len(executions) < floor:
-        return [bool(model.consistent(x)) for x in executions]
-    return consistent_on(model, definition, BatchContext.of(executions))
-
-
 def consistent_on(model, definition, ctx: BatchContext) -> list[bool]:
-    """:func:`consistent_batch` over an already-built context.
+    """Batched :meth:`MemoryModel.consistent` over ``ctx``, a context of
+    same-universe executions.
 
     The campaign prefill (:mod:`repro.engine.batchsweep`) builds one
     :class:`BatchContext` per universe-size bucket and sweeps *every*

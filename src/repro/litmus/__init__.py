@@ -9,7 +9,6 @@ from .candidates import (
     expand_test,
     forall_holds,
     observable,
-    set_expansion_cache_limit,
 )
 from .from_execution import to_litmus
 from .frontend import (
@@ -56,7 +55,6 @@ __all__ = [
     "load_litmus_file",
     "loads",
     "observable",
-    "set_expansion_cache_limit",
     "render",
     "render_armv8",
     "render_cpp",

@@ -37,7 +37,6 @@ suite (``tests/test_equivalence.py``).
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -71,41 +70,33 @@ __all__ = [
     "forall_holds",
     "all_outcomes",
     "set_batch_size",
-    "set_expansion_cache_limit",
 ]
 
 
 # ----------------------------------------------------------------------
-# Batched checking knobs
+# The prefill switch
 # ----------------------------------------------------------------------
 
-#: Default chunk size for the batched consistency path.  Streams shorter
-#: than this degenerate to one whole-stream batch; 0 (or 1) falls back
-#: to the scalar per-candidate path everywhere.
-DEFAULT_BATCH_SIZE = 64
-
-_BATCH_OVERRIDE: int | None = None
+#: Whether campaigns run the cross-item batched prefill
+#: (:func:`repro.engine.batchsweep.prefill_units`, its only reader) —
+#: the one batched path.  Everything else here checks candidates on the
+#: scalar reference.
+_prefill = True
 
 
 def set_batch_size(size: "int | None") -> None:
-    """Set the candidate chunk size for batched checking.
+    """Turn the campaign prefill off or back on.
 
-    ``0`` (or ``1``) selects the scalar reference path; ``None``
-    restores :data:`DEFAULT_BATCH_SIZE`.  The scalar-vs-batched
-    differential tests and benchmarks route through here; forked pool
-    workers inherit the setting.
+    ``0`` (or ``1``) turns it off, so every cell runs on the scalar
+    per-cell path — the reference the batched-vs-scalar differentials
+    and the benchmark verdict digests are taken from; ``None`` or any
+    larger size turns it back on.  Forked pool workers inherit the
+    setting.
     """
-    global _BATCH_OVERRIDE
+    global _prefill
     if size is not None and size < 0:
         raise ValueError(f"batch size must be >= 0, got {size}")
-    _BATCH_OVERRIDE = size
-
-
-def batch_size() -> int:
-    """The effective candidate chunk size (see :func:`set_batch_size`)."""
-    if _BATCH_OVERRIDE is not None:
-        return _BATCH_OVERRIDE
-    return DEFAULT_BATCH_SIZE
+    _prefill = size is None or size > 1
 
 
 @dataclass(frozen=True)
@@ -255,27 +246,11 @@ def _txn_counts(program: Program) -> list[int]:
 # Replayable, bounded candidate streams
 # ----------------------------------------------------------------------
 
-#: Candidates retained per stream before falling through to
-#: re-enumeration (``REPRO_EXPANSION_CACHE`` overrides).
-_DEFAULT_CACHE_LIMIT = 20_000
-
-_cache_limit = int(
-    os.environ.get("REPRO_EXPANSION_CACHE", _DEFAULT_CACHE_LIMIT)
-)
-
-
-def set_expansion_cache_limit(limit: int) -> int:
-    """Set the per-stream candidate retention cap; returns the old cap.
-
-    Streams retain at most this many candidates for replay by later
-    consumers (the same test checked against another model).  Beyond the
-    cap, iteration falls through to re-enumeration, so huge tests cannot
-    pin their full candidate set in memory via the expansion memos.
-    """
-    global _cache_limit
-    old = _cache_limit
-    _cache_limit = int(limit)
-    return old
+#: Candidates retained per stream for replay by later consumers (the
+#: same test checked against another model).  Beyond the cap, iteration
+#: falls through to re-enumeration, so huge tests cannot pin their full
+#: candidate set in memory via the expansion memos.
+EXPANSION_CACHE_LIMIT = 20_000
 
 
 class _LazyExpansion:
@@ -308,11 +283,11 @@ class _LazyExpansion:
                 i += 1
             elif self._done:
                 return
-            elif len(self._seen) >= _cache_limit:
-                # Retention cap reached (read dynamically, so lowering
-                # the limit also bounds already-memoized streams): this
-                # consumer re-enumerates its own tail — the source is
-                # deterministic.
+            elif len(self._seen) >= EXPANSION_CACHE_LIMIT:
+                # Retention cap reached (read at iteration time, so a
+                # lowered cap also bounds already-memoized streams):
+                # this consumer re-enumerates its own tail — the source
+                # is deterministic.
                 tail = itertools.islice(self._factory(), i, None)
                 while True:
                     try:
@@ -923,95 +898,32 @@ def brute_force_observable(test: LitmusTest, model: MemoryModel) -> bool:
     """Reference :func:`observable`, enumerated by brute force.
 
     This walks the unpruned, unmemoized cross-product and applies the
-    postcondition and the model *after* the fact, so it shares nothing
-    with the incremental search — the differential fuzzer uses it as the
-    ground-truth oracle for enumeration splits, and the randomized
-    equivalence suite as its reference semantics.
+    postcondition and the model *after* the fact, candidate by candidate
+    on the scalar reference, so it shares nothing with the incremental
+    search or with the batched kernels of the campaign prefill — the
+    differential fuzzer uses it as the ground-truth oracle for
+    enumeration splits, and the randomized equivalence suite as its
+    reference semantics.
     """
-    exists = _brute_force_exists(
-        test.program, model, lambda c: test.check(c.outcome)
-    )
-    if exists is not None:
-        return exists
     return any(
         test.check(c.outcome) and model.consistent(c.execution)
         for c in brute_force_candidates(test.program)
     )
 
 
-def _brute_force_exists(program, model, want) -> "bool | None":
-    """Batched "does a consistent candidate satisfying ``want`` exist?",
-    or ``None`` when batching is off or the model is not batchable.
-
-    The enumeration stays the unpruned, unmemoized cross-product; only
-    the per-candidate ``model.consistent`` calls are chunked through the
-    batched kernels (early-exiting between chunks), so the oracle still
-    shares nothing with the incremental search it cross-checks.
-    """
-    size = batch_size()
-    definition = model.batch_definition() if size > 1 else None
-    if definition is None:
-        return None
-    from ..ir.plan import consistent_batch as _ir_consistent_batch
-
-    buckets: dict[int, list[Execution]] = {}
-
-    def flush(n: int) -> bool:
-        return any(_ir_consistent_batch(model, definition, buckets.pop(n)))
-
-    for c in brute_force_candidates(program):
-        if not want(c):
-            continue
-        n = c.execution.n
-        bucket = buckets.setdefault(n, [])
-        bucket.append(c.execution)
-        if len(bucket) >= size and flush(n):
-            return True
-    return any(flush(n) for n in list(buckets))
-
-
 def brute_force_outcomes(test: LitmusTest, model: MemoryModel) -> set[tuple]:
-    """Reference :func:`all_outcomes`, enumerated by brute force."""
-    size = batch_size()
-    definition = model.batch_definition() if size > 1 else None
-    if definition is None:
-        return {
-            c.outcome.key()
-            for c in brute_force_candidates(test.program)
-            if model.consistent(c.execution)
-        }
-    from ..ir.plan import consistent_batch as _ir_consistent_batch
-
-    out: set[tuple] = set()
-    buckets: dict[int, list[Candidate]] = {}
-
-    def flush(n: int) -> None:
-        bucket = buckets.pop(n)
-        flags = _ir_consistent_batch(
-            model, definition, [c.execution for c in bucket]
-        )
-        out.update(
-            c.outcome.key() for c, flag in zip(bucket, flags) if flag
-        )
-
-    for c in brute_force_candidates(test.program):
-        n = c.execution.n
-        bucket = buckets.setdefault(n, [])
-        bucket.append(c)
-        if len(bucket) >= size:
-            flush(n)
-    for n in list(buckets):
-        flush(n)
-    return out
+    """Reference :func:`all_outcomes`, enumerated by brute force on the
+    scalar reference (see :func:`brute_force_observable`)."""
+    return {
+        c.outcome.key()
+        for c in brute_force_candidates(test.program)
+        if model.consistent(c.execution)
+    }
 
 
 def brute_force_forall(test: LitmusTest, model: MemoryModel) -> bool:
-    """Reference :func:`forall_holds`, enumerated by brute force."""
-    refuted = _brute_force_exists(
-        test.program, model, lambda c: not test.check(c.outcome)
-    )
-    if refuted is not None:
-        return not refuted
+    """Reference :func:`forall_holds`, enumerated by brute force on the
+    scalar reference (see :func:`brute_force_observable`)."""
     return all(
         test.check(c.outcome)
         for c in brute_force_candidates(test.program)
@@ -1035,7 +947,8 @@ def _consistent_stream(
     model: MemoryModel,
     skip: Callable[[Candidate], bool] | None = None,
 ) -> Iterator[Candidate]:
-    """The candidates of ``candidates`` consistent under ``model``.
+    """The candidates of ``candidates`` consistent under ``model``,
+    checked one at a time on the scalar reference.
 
     The single home of the coherence gate (models declaring
     :attr:`~repro.models.base.MemoryModel.enforces_coherence` never see
@@ -1043,16 +956,9 @@ def _consistent_stream(
     (structurally identical candidates are checked once per sweep).
     ``skip`` drops candidates *before* the model runs — used by
     :func:`forall_holds` to avoid consistency checks on candidates that
-    cannot decide the verdict.
+    cannot decide the verdict.  The stream is lazy, so a consumer that
+    stops at its first witness checks no candidate past it.
     """
-    size = batch_size()
-    if size > 1:
-        definition = model.batch_definition()
-        if definition is not None:
-            yield from _batched_consistent_stream(
-                candidates, model, definition, skip, size
-            )
-            return
     coherence_gate = getattr(model, "enforces_coherence", False)
     verdicts: dict[Execution, bool] = {}
     for candidate in candidates:
@@ -1068,68 +974,6 @@ def _consistent_stream(
             verdicts[candidate.execution] = verdict
         if verdict:
             yield candidate
-
-
-def _batched_consistent_stream(
-    candidates: Iterator[Candidate],
-    model: MemoryModel,
-    definition,
-    skip: Callable[[Candidate], bool] | None,
-    size: int,
-) -> Iterator[Candidate]:
-    """The batched body of :func:`_consistent_stream`.
-
-    Candidates are buffered into per-universe-size chunks (one test's
-    commit choices yield different event counts, and a batch shares one
-    bit-matrix shape) and each full chunk is checked with one batched
-    kernel sweep; the stream early-exits *between* chunks, so a consumer
-    like :func:`observable` stops enumerating after the chunk containing
-    its witness.  The coherence gate, the ``skip`` callback, and the
-    bounded verdict memo behave exactly as in the scalar path; only the
-    yield order may differ (chunks group same-sized candidates), which
-    no consumer observes — they ask for existence or collect sets.
-    """
-    from ..ir.plan import consistent_batch as _ir_consistent_batch
-
-    coherence_gate = getattr(model, "enforces_coherence", False)
-    verdicts: dict[Execution, bool] = {}
-    buckets: dict[int, list[Candidate]] = {}
-
-    def flush(n: int) -> Iterator[Candidate]:
-        bucket = buckets.pop(n)
-        stack: list[Execution] = []
-        index: dict[Execution, int] = {}
-        for candidate in bucket:
-            x = candidate.execution
-            if x not in index:
-                index[x] = len(stack)
-                stack.append(x)
-        flags = _ir_consistent_batch(model, definition, stack)
-        if len(verdicts) + len(stack) > _VERDICT_MEMO_LIMIT:
-            verdicts.clear()
-        for x, flag in zip(stack, flags):
-            verdicts[x] = bool(flag)
-        for candidate in bucket:
-            if flags[index[candidate.execution]]:
-                yield candidate
-
-    for candidate in candidates:
-        if coherence_gate and not candidate.coherent:
-            continue
-        if skip is not None and skip(candidate):
-            continue
-        verdict = verdicts.get(candidate.execution)
-        if verdict is not None:
-            if verdict:
-                yield candidate
-            continue
-        n = candidate.execution.n
-        bucket = buckets.setdefault(n, [])
-        bucket.append(candidate)
-        if len(bucket) >= size:
-            yield from flush(n)
-    for n in list(buckets):
-        yield from flush(n)
 
 
 def observable(test: LitmusTest, model: MemoryModel) -> bool:

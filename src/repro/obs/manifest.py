@@ -420,7 +420,8 @@ def from_campaign(
 
     ``snapshot`` is a telemetry snapshot (``obs.snapshot()``); when
     omitted the active bundle is snapshotted.  ``extra`` merges into the
-    ``suite`` block (run knobs like the candidate batch size).
+    ``suite`` block (the service records the job id and poisoned-cell
+    count there).
     ``run_id`` overrides the derived id — the campaign service keys job
     manifests by job id.  Everything is read duck-typed so obs never
     imports the engine.
@@ -488,11 +489,9 @@ def from_fuzz(
     cache=None,
     argv: list[str] | None = None,
     snapshot: dict | None = None,
-    extra: dict | None = None,
 ) -> RunManifest:
     """Build a manifest from a :class:`FuzzReport`, merging the cells of
-    every campaign the fuzz run dispatched (main, machine, brute);
-    ``extra`` merges into the ``suite`` block."""
+    every campaign the fuzz run dispatched (main, machine, brute)."""
     from . import telemetry
 
     if snapshot is None:
@@ -524,7 +523,6 @@ def from_fuzz(
         suite={
             "items": report.n_items,
             "digest": _suite_digest(sorted(names)),
-            **(extra or {}),
         },
         models={spec: _definition_token(spec) for spec in report.checkers},
         verdicts={

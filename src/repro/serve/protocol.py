@@ -24,7 +24,8 @@ pool tasks.  Unknown options — such as the retired ``batch`` and
 
 Job lifecycle: ``queued`` → ``running`` → ``done`` | ``failed``.  A job
 *fails* only when its suite cannot be built (bad paths, a bad diy
-arch); a malformed spec, including an unknown diy edge name, is a
+arch); a malformed spec, including an unknown diy edge name, an empty
+diy vocabulary or a diy length that is not an integer ≥ 2, is a
 :class:`SpecError` at submit.  Checker crashes, timeouts, and dead
 workers degrade to poisoned cells inside a ``done`` job.
 """
@@ -102,11 +103,19 @@ class JobSpec:
                     raise SpecError(
                         "diy suite needs 'vocab': null | [str, ...]"
                     )
+                if not vocab:
+                    raise SpecError("diy suite has an empty vocab")
                 for name in vocab:
                     try:
                         edge(name)
                     except ValueError as exc:
                         raise SpecError(str(exc)) from None
+            # A cycle needs two edges: below that the suite is empty.
+            length = suite.get("length", 3)
+            if type(length) is not int or length < 2:
+                raise SpecError(
+                    f"diy suite needs 'length': int >= 2, got {length!r}"
+                )
         models = data.get("models")
         if (
             not isinstance(models, list)

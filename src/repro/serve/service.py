@@ -46,7 +46,6 @@ from ..engine.cache import (
 from ..engine.campaign import CampaignResult, CellResult
 from ..engine.checkers import resolve_checker
 from ..engine.pool import PoisonedTask, resilient_map
-from ..litmus.candidates import batch_size
 from ..obs import manifest as obs_manifest
 from ..obs import metrics as obs_metrics
 from ..obs import telemetry as obs_telemetry
@@ -442,13 +441,7 @@ class CampaignService:
                 items=items,
                 cache=self.cache,
                 run_id=self._manifest_run_id(job),
-                extra={
-                    "job": job.id,
-                    "poisoned": job.poisoned_cells,
-                    # The batch size, so a manifest records which path
-                    # produced its timings.
-                    "batch": batch_size(),
-                },
+                extra={"job": job.id, "poisoned": job.poisoned_cells},
             )
             manifest_path = str(
                 obs_manifest.write_manifest(manifest, self.runs_dir)

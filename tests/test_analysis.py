@@ -246,12 +246,12 @@ class TestProfiling:
 
 
 class TestExpansionCacheLimit:
-    def test_fall_through_to_reenumeration(self):
+    def test_fall_through_to_reenumeration(self, monkeypatch):
+        from repro.litmus import candidates
         from repro.litmus.candidates import (
             _expand_test,
             candidate_executions,
             expand_program,
-            set_expansion_cache_limit,
         )
         from repro.litmus.program import Load, Program, Store
 
@@ -265,7 +265,7 @@ class TestExpansionCacheLimit:
                      candidate_executions(program)]
         assert len(unbounded) > 4
 
-        old = set_expansion_cache_limit(3)
+        monkeypatch.setattr(candidates, "EXPANSION_CACHE_LIMIT", 3)
         try:
             expand_program.cache_clear()
             stream = expand_program(program)
@@ -276,5 +276,4 @@ class TestExpansionCacheLimit:
             # Only the capped prefix was retained.
             assert len(stream._seen) == 3
         finally:
-            set_expansion_cache_limit(old)
             expand_program.cache_clear()

@@ -17,7 +17,8 @@ acceptable approximation.  The layers:
 * **Corpus matrix** and **fuzz stream** — batched vs scalar campaigns
   over the full committed corpus and a seeded generator suite
   (reproducible via ``REPRO_TEST_SEED``);
-* the kernel floor, the build-failure fallback, batch-aware shard
+* the one batched path (only the campaign prefill reaches a kernel),
+  the kernel floor, the build-failure fallback, batch-aware shard
   assembly, and a ``jobs=2`` campaign.
 
 Tests that build kernels skip without numpy (or under
@@ -46,7 +47,17 @@ from repro.ir import nodes as N
 from repro.ir.batch import HAVE_NUMPY, BatchContext, pack_relations, pack_sets
 from repro.ir.eval import STATS, axiom_holds, evaluate
 from repro.ir.model import IRAxiom, IRDefinition
-from repro.litmus.candidates import _expand_test, expand_program, set_batch_size
+from repro.litmus.candidates import (
+    _expand_test,
+    all_outcomes,
+    brute_force_forall,
+    brute_force_observable,
+    brute_force_outcomes,
+    expand_program,
+    forall_holds,
+    observable,
+    set_batch_size,
+)
 from repro.models.registry import MODELS, get_model
 from repro.obs import telemetry
 import repro.ir.codegen as codegen
@@ -268,8 +279,8 @@ class TestGoldenCatalogBatched:
             definition = model.batch_definition()
             assert definition is not None, f"{model_name} lost its IR"
             for stack in buckets.values():
-                flags = plan.consistent_batch(
-                    model, definition, [x for _, x in stack]
+                flags = plan.consistent_on(
+                    model, definition, BatchContext.of([x for _, x in stack])
                 )
                 for (entry_name, _), flag in zip(stack, flags):
                     want = golden[entry_name][model_name]
@@ -287,8 +298,8 @@ class TestGoldenCatalogBatched:
             pytest.skip(f"cat:{cat_name} has no batchable IR")
         for stack in _catalog_stacks().values():
             scalar = [bool(model.consistent(_fresh(x))) for _, x in stack]
-            flags = plan.consistent_batch(
-                model, definition, [x for _, x in stack]
+            flags = plan.consistent_on(
+                model, definition, BatchContext.of([x for _, x in stack])
             )
             assert list(map(bool, flags)) == scalar
 
@@ -495,6 +506,54 @@ class TestCoherencePrunedPrefill:
         assert len(flags) == len(items)
         assert set(flags) == {gated}
         assert batched == scalar
+
+
+# ----------------------------------------------------------------------
+# One batched path
+# ----------------------------------------------------------------------
+
+
+@needs_numpy
+def test_only_the_prefill_reaches_a_kernel(forced_kernels):
+    """The campaign prefill is the only batched path: the per-cell
+    consumers, the brute-force oracle and the ``brute:`` checker send
+    no candidate to a kernel, even with the kernel floor at 1, so the
+    ``brute:`` column shares no evaluator with the kernels it checks."""
+    items = litmus_suite(
+        sorted(str(p) for p in CORPUS.glob("x86/*.litmus"))[:30]
+    )
+    assert len(items) == 30
+    model = get_model("x86")
+    brute = resolve_checker("brute:x86")
+    before = STATS.batch_candidates
+    for item in items:
+        test = item.payload
+        observable(test, model)
+        forall_holds(test, model)
+        all_outcomes(test, model)
+        brute_force_observable(test, model)
+        brute_force_forall(test, model)
+        brute_force_outcomes(test, model)
+        brute.verdict(test)
+    assert STATS.batch_candidates == before
+    run_campaign(items, ["x86"])
+    assert STATS.batch_candidates > before
+
+
+def test_set_batch_size_switches_the_prefill():
+    """``0`` and ``1`` turn the prefill off, so every cell is left to
+    the per-cell path; ``None`` and larger sizes turn it back on; a
+    negative size is an error."""
+    units = _units(4)
+    try:
+        for size, on in ((0, False), (1, False), (2, True), (None, True)):
+            set_batch_size(size)
+            _rows, covered = batchsweep.prefill_units(units)
+            assert bool(covered) == on, size
+        with pytest.raises(ValueError, match="batch size must be >= 0"):
+            set_batch_size(-1)
+    finally:
+        set_batch_size(None)
 
 
 # ----------------------------------------------------------------------

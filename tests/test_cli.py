@@ -446,3 +446,32 @@ class TestUnknownDiyEdge:
         assert code == 2
         assert "error: unknown edge 'PodXY'; known: " in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diy", "--length", "3"],
+            ["campaign", "--suite", "diy", "--length", "3",
+             "--models", "x86", "--no-cache"],
+        ],
+        ids=["diy", "campaign"],
+    )
+    def test_empty_vocab_exits_two(self, capsys, argv):
+        # A given but empty --vocab names one empty edge, not the
+        # default vocabulary.
+        code = main([*argv, "--vocab", ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: unknown edge ''" in captured.err
+
+    def test_submit_sends_a_given_vocab(self):
+        from repro.cli import _submit_suite, build_parser
+        from repro.serve import JobSpec, SpecError
+
+        args = build_parser().parse_args(["submit", "--vocab", ""])
+        suite = _submit_suite(args)
+        assert suite["vocab"] == [""]
+        with pytest.raises(SpecError, match="unknown edge ''"):
+            JobSpec.from_dict({"suite": suite, "models": ["x86"]})
+        args = build_parser().parse_args(["submit"])
+        assert _submit_suite(args)["vocab"] is None

@@ -1,7 +1,7 @@
 """Direct checks of the generated kernels (:mod:`repro.ir.codegen`).
 
 The two-way differential in ``tests/test_batch.py`` goes through
-:func:`repro.ir.plan.consistent_batch` and the campaign engine, where a
+:func:`repro.ir.plan.consistent_on` and the campaign engine, where a
 kernel that cannot be built falls back to the scalar reference: its
 verdicts still match, so a broken emitter would hide there.  The checks
 here hold the kernels themselves to account:

@@ -295,6 +295,12 @@ class TestSuites:
         names = [item.name for item in suite]
         assert len(names) == len(set(names))
 
+    def test_diy_suite_empty_vocabulary_is_empty(self):
+        # Only ``None`` means the default vocabulary; an empty one yields
+        # no cycle, as ``enumerate_cycles([], L)`` does.
+        assert diy_suite("x86", [], 3) == []
+        assert len(diy_suite("x86", None, 2)) == 5
+
 
 class TestMemoization:
     def test_expand_program_memoized(self, suite):

@@ -12,7 +12,7 @@ import pytest
 from repro.engine import diy_suite, run_campaign
 from repro.engine.cache import NullCache, ResultCache
 from repro.engine.pool import PoisonedTask, resilient_map
-from repro.litmus.candidates import batch_size, set_batch_size
+from repro.litmus.candidates import set_batch_size
 from repro.obs import telemetry
 from repro.serve import (
     CampaignService,
@@ -22,6 +22,7 @@ from repro.serve import (
     ServiceServer,
     SpecError,
 )
+from repro.serve.protocol import suite_items
 
 
 @pytest.fixture(autouse=True)
@@ -215,7 +216,6 @@ class TestBatchedTelemetry:
         path."""
         suite = diy_suite("x86", max_length=3)
         models = ["x86", "x86tm"]
-        saved = batch_size()
         try:
             set_batch_size(0)  # scalar reference
             scalar = run_campaign(suite, models, cache=NullCache())
@@ -227,7 +227,7 @@ class TestBatchedTelemetry:
             ]
             hist = bundle.metrics.histograms
         finally:
-            set_batch_size(saved)
+            set_batch_size(None)
             telemetry.disable()
         assert batched.matrix() == scalar.matrix()
         assert len(spans) == len(suite) * len(models)
@@ -319,6 +319,34 @@ class TestJobSpec:
              "models": ["x86"]}
         )
         assert spec.suite["vocab"] == ["Rfe", "Fre"]
+
+    def test_empty_diy_vocab_rejected_at_submit(self):
+        # It names no edge, so it could only build an empty suite.
+        with pytest.raises(SpecError, match="empty vocab"):
+            JobSpec.from_dict(
+                {"suite": {"kind": "diy", "vocab": []}, "models": ["x86"]}
+            )
+
+    @pytest.mark.parametrize(
+        "length",
+        ["3", 2.5, True, -1, 1, None],
+        ids=["str", "float", "bool", "negative", "one", "null"],
+    )
+    def test_bad_diy_length_rejected_at_submit(self, length):
+        # Checked at submit, without building the suite: a non-integer
+        # would fail the job later, and a length below 2 builds no test.
+        with pytest.raises(SpecError, match="'length': int >= 2"):
+            JobSpec.from_dict(
+                {"suite": {"kind": "diy", "length": length},
+                 "models": ["x86"]}
+            )
+
+    def test_diy_length_two_accepted(self):
+        spec = JobSpec.from_dict(
+            {"suite": {"kind": "diy", "length": 2}, "models": ["x86"]}
+        )
+        assert spec.suite["length"] == 2
+        assert suite_items(spec.suite)
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +537,6 @@ class TestCampaignService:
             return real(name, payload, checkers)
 
         monkeypatch.setattr(batchsweep, "_run_checkers", sabotaged)
-        saved = batch_size()
         set_batch_size(0)  # no prefill: every cell must reach _run_checkers
         service = self._service(tmp_path, cache=NullCache())
         try:
@@ -527,7 +554,7 @@ class TestCampaignService:
             good = [c for c in job.cells if c["error"] is None]
             assert len(good) == 8
         finally:
-            set_batch_size(saved)
+            set_batch_size(None)
             service.stop()
 
     def test_cells_cursor_is_stable(self, tmp_path):
