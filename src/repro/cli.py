@@ -248,6 +248,12 @@ def _cmd_campaign(args) -> int:
     elif args.suite == "catalog":
         items = catalog_suite()
     else:
+        if args.length < 2:  # a cycle needs two edges: a usage error
+            print(
+                f"error: diy length must be >= 2, got {args.length}",
+                file=sys.stderr,
+            )
+            return 2
         vocab = None if args.vocab is None else args.vocab.split(",")
         try:
             items = diy_suite(args.arch, vocab, args.length)

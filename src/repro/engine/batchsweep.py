@@ -13,13 +13,17 @@ oracles check candidates one at a time on the scalar reference
 
 :func:`prefill_units` exploits that before the per-cell loop runs:
 
-1. **Collect** — for every pending cell whose checker is a plain
-   batchable :class:`~repro.engine.checkers.ModelChecker`, pull the
-   exact candidate set the scalar verdict quantifies over (the
+1. **Collect** — for every item with a pending plain batchable
+   :class:`~repro.engine.checkers.ModelChecker`, pull the exact
+   candidate set the scalar verdict quantifies over (the
    postcondition-filtered stream for ``exists``, pruned of incoherent
    candidates when every batchable checker of the item enforces
    coherence; the refuting candidates for ``forall``; the bare execution
-   for execution payloads), bounded by :data:`PREFILL_STREAM_CAP`;
+   for execution payloads), bounded by :data:`PREFILL_STREAM_CAP`.  The
+   stream is walked once per item, and the result is one *group* per
+   (item, coherence gate) holding that set and the checkers it serves;
+   every later step loops over groups, not cells.  The sweep's streams
+   share thread shapes (:func:`~repro.litmus.candidates.shared_shapes`);
 2. **Sweep** — bucket every collected execution by universe size, build
    one :class:`~repro.ir.batch.BatchContext` per bucket, and run each
    participating model's batched kernel (:func:`repro.ir.plan.
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from itertools import repeat
 from typing import Callable, Iterable
 
 from ..core.execution import Execution
@@ -97,9 +102,6 @@ PREFILL_STREAM_CAP = 256
 KERNEL_CHUNK = 1024
 
 
-_MISSING = object()
-
-
 def _fall_back(subject: str, reason: str, exc: Exception) -> None:
     """Count one prefill fallback and warn about it.
 
@@ -115,26 +117,6 @@ def _fall_back(subject: str, reason: str, exc: Exception) -> None:
         RuntimeWarning,
         stacklevel=2,
     )
-
-
-class _Cell:
-    """One prefill candidate: a pending (item, checker) pair plus the
-    candidate set its verdict quantifies over."""
-
-    __slots__ = (
-        "name", "spec", "model", "definition", "token", "quantifier",
-        "executions", "exhausted",
-    )
-
-    def __init__(self, name, checker, definition, quantifier):
-        self.name = name
-        self.spec = checker.spec
-        self.model = checker.model
-        self.definition = definition
-        self.token = checker.token
-        self.quantifier = quantifier  # "exec" | "exists" | "forall"
-        self.executions: list[Execution] = []
-        self.exhausted = False
 
 
 def _collect_stream(
@@ -187,72 +169,82 @@ def _resolve_batchable(checker: Checker, cache):
     return out
 
 
-def _collect(units) -> list[_Cell]:
-    cells: list[_Cell] = []
-    resolved: dict = {}
-    for name, payload, checkers, _telemetry in units:
-        batchable = [
-            (checker, resolution)
-            for checker in checkers
-            if (resolution := _resolve_batchable(checker, resolved))
-            is not None
-        ]
-        # An incoherent candidate is inconsistent under every gated
-        # model, so when all of them are gated the ``exists`` stream is
-        # pruned of those candidates before any execution is built —
-        # the memo entry the per-cell ``observable`` path reads too.
-        coherent_only = all(gate for _, (_, gate) in batchable)
-        # Checkers of one item share the candidate stream; walking it
-        # (and applying the postcondition) once per *quantifier*, not
-        # once per checker or per coherence gate, matters on suites of
-        # hundreds of small tests.  ``prefixes`` maps a quantifier to
-        # ``(pairs, exhausted, per-gate executions)``.
-        prefixes: dict[str, tuple | None] = {}
-        for checker, (definition, gate) in batchable:
-            if isinstance(payload, Execution):
-                cell = _Cell(name, checker, definition, "exec")
-                cell.executions.append(payload)
-                cell.exhausted = True
-                cells.append(cell)
-                continue
-            if not isinstance(payload, LitmusTest):
-                continue
-            quantifier = (
-                "forall" if payload.quantifier == "forall" else "exists"
+def _members(checkers, resolved) -> "dict[bool, tuple]":
+    """The batchable checkers of one unit as ``(spec, model, definition,
+    token)`` members, grouped by coherence gate in the order each gate
+    first appears."""
+    by_gate: dict[bool, list] = {}
+    for checker in checkers:
+        resolution = _resolve_batchable(checker, resolved)
+        if resolution is not None:
+            definition, gate = resolution
+            by_gate.setdefault(gate, []).append(
+                (checker.spec, checker.model, definition, checker.token)
             )
-            prefix = prefixes.get(quantifier, _MISSING)
-            if prefix is _MISSING:
-                try:
-                    if quantifier == "forall":
-                        # The scalar path's skip: only candidates
-                        # *refuting* the condition can decide the
-                        # verdict.
-                        prefix = _collect_stream(
-                            candidate_executions(payload.program),
-                            lambda c: not payload.check(c.outcome),
-                        ) + ({},)
-                    else:
-                        prefix = _collect_stream(
-                            iter(expand_test(payload, coherent_only)), None
-                        ) + ({},)
-                except Exception as exc:
-                    # The per-cell path reports the error, if it recurs.
-                    _fall_back(checker.spec, "candidate collection", exc)
-                    prefix = None
-                prefixes[quantifier] = prefix
-            if prefix is None:
-                continue
-            pairs, exhausted, by_gate = prefix
-            executions = by_gate.get(gate)
-            if executions is None:
-                by_gate[gate] = executions = [
-                    x for x, coherent in pairs if coherent or not gate
-                ]
-            cell = _Cell(name, checker, definition, quantifier)
-            cell.executions = executions
-            cell.exhausted = exhausted
-            cells.append(cell)
-    return cells
+    return {gate: tuple(members) for gate, members in by_gate.items()}
+
+
+def _collect(units) -> list[tuple]:
+    """The prefill groups of ``units``.
+
+    One ``(name, executions, exhausted, quantifier, members)`` group per
+    (item, quantifier, coherence gate) with a batchable checker:
+    ``executions`` is the candidate set the scalar verdict of every
+    member checker quantifies over, and ``exhausted`` whether it is
+    complete.  Units carrying the same checkers share one ``members``
+    tuple, so later steps can do per-checker work once per tuple.
+    """
+    groups: list[tuple] = []
+    resolved: dict = {}
+    partitions: dict[tuple, dict[bool, tuple]] = {}
+    for name, payload, checkers, _telemetry in units:
+        key = tuple(map(id, checkers))
+        by_gate = partitions.get(key)
+        if by_gate is None:
+            by_gate = partitions[key] = _members(checkers, resolved)
+        if not by_gate:
+            continue
+        if isinstance(payload, Execution):
+            for members in by_gate.values():
+                groups.append((name, [payload], True, "exec", members))
+            continue
+        if not isinstance(payload, LitmusTest):
+            continue
+        quantifier = "forall" if payload.quantifier == "forall" else "exists"
+        # The item's checkers share the candidate stream; it is walked
+        # (and the postcondition applied) once per item, not once per
+        # checker or per coherence gate, which matters on suites of
+        # hundreds of small tests.
+        try:
+            if quantifier == "forall":
+                # The scalar path's skip: only candidates *refuting* the
+                # condition can decide the verdict.
+                pairs, exhausted = _collect_stream(
+                    candidate_executions(payload.program),
+                    lambda c: not payload.check(c.outcome),
+                )
+            else:
+                # An incoherent candidate is inconsistent under every
+                # gated model, so when all of them are gated the stream
+                # is pruned of those candidates before any execution is
+                # built — the memo entry the per-cell ``observable``
+                # path reads too.
+                pairs, exhausted = _collect_stream(
+                    iter(expand_test(payload, False not in by_gate)), None
+                )
+        except Exception as exc:
+            # The per-cell path reports the error, if it recurs.
+            first = next(iter(by_gate.values()))[0][0]
+            _fall_back(first, "candidate collection", exc)
+            continue
+        for gate, members in by_gate.items():
+            executions = (
+                [x for x, coherent in pairs if coherent or not gate]
+                if pairs
+                else ()
+            )
+            groups.append((name, executions, exhausted, quantifier, members))
+    return groups
 
 
 def prefill_units(units):
@@ -264,29 +256,42 @@ def prefill_units(units):
     still go through the per-cell path.  A no-op (empty results) when
     :func:`~repro.litmus.candidates.set_batch_size` turned the prefill
     off.
+
+    The work is per group (:func:`_collect`), not per cell: the streams
+    are collected inside one :func:`~repro.litmus.candidates.
+    shared_shapes` block, so the sweep expands each distinct thread
+    shape once, and bucketing and verdict assembly loop over groups and
+    their member checkers.
     """
     if not litmus_candidates._prefill:
         return [], set()
     start = time.perf_counter()
-    cells = _collect(units)
-    if not cells:
+    with litmus_candidates.shared_shapes():
+        groups = _collect(units)
+    if not groups:
         return [], set()
 
     # -- bucket every execution by universe size ------------------------
     buckets: dict[int, dict[Execution, int]] = {}
     sweeps: dict[int, list[tuple[str, object, object]]] = {}
     swept: set[tuple[str, int]] = set()
-    for cell in cells:
-        for x in cell.executions:
-            index = buckets.setdefault(x.n, {})
+    sized: set[tuple[int, int]] = set()  # (id(members), n) already swept
+    for _name, executions, _exhausted, _quantifier, members in groups:
+        for x in executions:
+            n = x.n
+            index = buckets.get(n)
+            if index is None:
+                index = buckets[n] = {}
             if x not in index:
                 index[x] = len(index)
-            key = (cell.spec, x.n)
-            if key not in swept:
-                swept.add(key)
-                sweeps.setdefault(x.n, []).append(
-                    (cell.spec, cell.model, cell.definition)
-                )
+            key = (id(members), n)
+            if key in sized:
+                continue
+            sized.add(key)
+            for spec, model, definition, _token in members:
+                if (spec, n) not in swept:
+                    swept.add((spec, n))
+                    sweeps.setdefault(n, []).append((spec, model, definition))
 
     # -- one context per bucket chunk, every model's kernel over it ------
     flags: dict[str, dict[Execution, bool]] = {}
@@ -313,34 +318,41 @@ def prefill_units(units):
                     table[x] = bool(flag)
 
     # -- assemble verdicts ----------------------------------------------
-    decided: list[tuple[str, str, bool, str]] = []
-    for cell in cells:
-        table = flags.get(cell.spec)
-        if table is None:
-            continue
-        hit = any(table[x] for x in cell.executions)
-        if cell.quantifier == "forall":
-            if hit:  # a consistent refutation
-                verdict = False
-            elif cell.exhausted:
-                verdict = True
-            else:
-                continue  # undecided prefix: fall back
-        else:  # "exists" and bare executions alike
-            if hit:
-                verdict = True
-            elif cell.exhausted:
-                verdict = False
-            else:
+    # ``exists`` and bare executions: any consistent candidate decides
+    # True; ``forall``: any consistent refutation decides False.  A
+    # prefix that decides nothing (not exhausted) falls back.  The
+    # decided cells are kept column-wise: a suite of small tests decides
+    # tens of thousands of them, and every per-cell object is one more
+    # for the garbage collector to track.
+    names: list[str] = []
+    specs: list[str] = []
+    verdicts: list[bool] = []
+    tokens: list[str] = []
+    for name, executions, exhausted, quantifier, members in groups:
+        hit_verdict = quantifier != "forall"
+        for spec, _model, _definition, token in members:
+            table = flags.get(spec)
+            if table is None:
                 continue
-        decided.append((cell.name, cell.spec, verdict, cell.token))
+            for x in executions:
+                if table[x]:
+                    verdict = hit_verdict
+                    break
+            else:
+                if not exhausted:
+                    continue  # undecided prefix: fall back
+                verdict = not hit_verdict
+            names.append(name)
+            specs.append(spec)
+            verdicts.append(verdict)
+            tokens.append(token)
 
-    if not decided:
+    if not names:
         return [], set()
     # Apportion the sweep time evenly: per-cell attribution below batch
     # granularity is not meaningful, but model_time() should still add
     # up to wall-clock spent.
-    elapsed = (time.perf_counter() - start) / len(decided)
+    elapsed = (time.perf_counter() - start) / len(names)
     tracer = trace.ACTIVE
     if tracer is not None:
         # Telemetry composes with batching: one synthetic span per
@@ -348,7 +360,7 @@ def prefill_units(units):
         # scalar path's real spans.  Self time is 0.0 — the sweep's
         # wall clock is already partitioned into the expansion/axioms
         # stage spans recorded while it ran.
-        for name, spec, _verdict, token in decided:
+        for name, spec, token in zip(names, specs, tokens):
             tracer.add_span(
                 "cell",
                 elapsed,
@@ -356,11 +368,8 @@ def prefill_units(units):
                  "batched": True},
                 self_seconds=0.0,
             )
-    rows = [
-        (name, spec, verdict, elapsed, None)
-        for name, spec, verdict, _token in decided
-    ]
-    return rows, {(name, spec) for name, spec, _, _ in decided}
+    rows = list(zip(names, specs, verdicts, repeat(elapsed), repeat(None)))
+    return rows, set(zip(names, specs))
 
 
 # ----------------------------------------------------------------------

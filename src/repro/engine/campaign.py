@@ -49,7 +49,11 @@ __all__ = [
     "diy_suite",
     "litmus_suite",
     "execution_suite",
+    "DIY_VOCAB",
 ]
+
+#: diy's default vocabulary, for a suite built without one.
+DIY_VOCAB = ("PodWR", "PodWW", "PodRR", "PodRW", "Rfe", "Fre", "Wse")
 
 
 @dataclass
@@ -460,14 +464,14 @@ def diy_suite(
     Each critical cycle over the vocabulary becomes one litmus test via
     :func:`~repro.litmus.from_execution.to_litmus`, so campaign verdicts
     have :func:`~repro.litmus.candidates.observable` semantics.  No
-    vocabulary means the seven-edge default; an empty one builds an
-    empty suite.
+    vocabulary means the seven-edge default (:data:`DIY_VOCAB`); an
+    empty one builds an empty suite.
     """
     from ..litmus.from_execution import to_litmus
     from ..synth.diy import cycle_execution, enumerate_cycles
 
     if vocabulary is None:
-        vocabulary = ("PodWR", "PodWW", "PodRR", "PodRW", "Rfe", "Fre", "Wse")
+        vocabulary = DIY_VOCAB
     out = []
     for cycle in enumerate_cycles(vocabulary, max_length):
         name = "diy-" + "+".join(e.name for e in cycle.edges)

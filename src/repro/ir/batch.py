@@ -11,8 +11,11 @@ context, so one stack's ``tm=True`` and ``tm=False`` sweeps share it.
 Every batched value is a ``float32`` 0/1 stack — ``[batch, n, n]`` for
 relations (``v[b, i, j]`` is 1 iff ``(i, j)`` is in candidate ``b``'s
 relation), ``[batch, n]`` for event sets.  :func:`pack_relations` and
-:func:`pack_sets` build those stacks straight from each candidate's
-scalar :class:`~repro.core.relation.Relation` rows and event sets.
+:func:`pack_sets` build those stacks from each candidate's scalar
+:class:`~repro.core.relation.Relation` rows and event sets: the leaves
+(:mod:`repro.ir.plan`) use them for transactional structure only,
+reading every other leaf off the event profile or the executions'
+own fields, and the tests use them as the oracle for those leaves.
 
 numpy is optional: when it is missing, or ``REPRO_NO_NUMPY=1`` is set,
 :data:`HAVE_NUMPY` is False and every consistency check runs on the

@@ -17,10 +17,13 @@ This module also owns the batched *leaves* — base relations and event
 sets as ``float32`` stacks, memoized in the context under the leaf
 node's id so every model swept over one context shares them.
 Structural leaves (``po``, ``int``, ``loc``, kind and label sets) are
-broadcast from a dense per-stack event profile; ``fr`` is a handful of
-array operations over ``rf``/``co``/``loc``; the rest are packed from
+broadcast from a dense per-stack event profile; ``rf``, ``co``, the
+dependencies and ``rmw`` are scattered straight from each execution's
+own fields into one zeroed array; ``fr`` is a handful of array
+operations over ``rf``/``co``/``loc``.  The transactional leaves are
+zeros for a stack without transactions and are otherwise packed from
 each candidate's scalar analysis (:func:`repro.ir.batch.
-pack_relations`).
+pack_relations`), like the transactional event sets.
 
 :func:`consistent_on` is the one kernel entry, called only by the
 campaign prefill (:func:`repro.engine.batchsweep.prefill_units`):
@@ -32,6 +35,7 @@ scalar fallback for small stacks and unbuildable kernels.
 from __future__ import annotations
 
 import time
+from itertools import combinations
 
 from ..core.events import EventKind
 from ..obs import metrics as obs_metrics
@@ -180,6 +184,36 @@ def _fr(tctx: BatchContext):
     )
 
 
+#: The base relations every :class:`~repro.core.execution.Execution`
+#: stores as pairs, read off as ``(i, j)`` pairs; ``co`` is every ordered
+#: pair of each location's order, which is ``co_rel``'s transitive order.
+_FIELD_PAIRS = {
+    "rf": lambda x: ((w, r) for r, w in x.rf.items()),
+    "co": lambda x: (
+        pair for order in x.co.values() for pair in combinations(order, 2)
+    ),
+    "addr": lambda x: x.addr,
+    "data": lambda x: x.data,
+    "ctrl": lambda x: x.ctrl,
+    "rmw": lambda x: x.rmw,
+}
+
+
+def _scatter(tctx: BatchContext, pairs_of):
+    """The ``float32 [batch, n, n]`` stack with a 1 at every pair
+    ``pairs_of`` reads off each candidate's execution: one fancy-index
+    assignment into a zeroed array, no scalar :class:`Relation`."""
+    n = tctx.n
+    nn = n * n
+    flat: list[int] = []
+    for b, a in enumerate(tctx.analyses):
+        base = b * nn
+        flat.extend(base + i * n + j for i, j in pairs_of(a.x))
+    data = _np.zeros(tctx.batch * nn, _np.float32)
+    data[flat] = 1.0
+    return data.reshape(tctx.batch, n, n)
+
+
 def _build_relation(tctx: BatchContext, token: str):
     if token in ("po", "int", "loc"):
         return _structural(tctx, token)
@@ -190,6 +224,13 @@ def _build_relation(tctx: BatchContext, token: str):
     if token == "id":
         eye = _np.eye(tctx.n, dtype=_np.float32)
         return _np.broadcast_to(eye, (tctx.batch, tctx.n, tctx.n))
+    pairs_of = _FIELD_PAIRS.get(token)
+    if pairs_of is not None:
+        return _scatter(tctx, pairs_of)
+    # ``stxn``, ``stxnat`` and ``tfence``: empty on a baseline view and
+    # on every candidate without a transaction.
+    if tctx._parent is not None or not any(a.x.txns for a in tctx.analyses):
+        return _np.zeros((tctx.batch, tctx.n, tctx.n), _np.float32)
     getter = _BASE_RELATION[token]
     return pack_relations([getter(a) for a in tctx.analyses], tctx.n)
 

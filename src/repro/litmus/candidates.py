@@ -10,9 +10,16 @@ commits or aborts (an aborted transaction's events vanish, section 3.1).
 The enumeration is an *incremental constraint-pruned search* rather than
 a materialised cross-product:
 
-* per-shape work (global renumbering, dependency/transaction lifting,
-  write indexes, per-location permutation tables) is hoisted out of the
-  rf × co loops;
+* a thread's shape (its events, registers, dependencies and transactions
+  under one commit choice) depends only on the thread's instructions and
+  that choice, so inside a :func:`shared_shapes` block — the campaign
+  prefill opens one per sweep — every stream expanded reuses the shapes
+  already built for structurally equal threads;
+* per-test work (global renumbering, write and read indexes,
+  dependency/transaction lifting, per-location permutation tables) is
+  one pass over the shapes, hoisted out of the rf × co loops, and the
+  co tables, which refute many postcondition-filtered tests outright,
+  are built before any per-read structure;
 * every candidate carries a ``coherent`` bit — the classic uniproc
   patterns (coWW/coRW/coWR/coRR) are detected incrementally while rf is
   assigned, which is exactly ``acyclic(po_loc ∪ com)``.  Consumers
@@ -36,7 +43,9 @@ suite (``tests/test_equivalence.py``).
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -70,6 +79,7 @@ __all__ = [
     "forall_holds",
     "all_outcomes",
     "set_batch_size",
+    "shared_shapes",
 ]
 
 
@@ -240,6 +250,36 @@ def _txn_counts(program: Program) -> list[int]:
     return [
         sum(isinstance(i, TxBegin) for i in thread) for thread in program.threads
     ]
+
+
+#: The shape memo of the innermost open :func:`shared_shapes` block,
+#: ``(thread, that thread's commit choice) -> shape or None``; ``None``
+#: outside every block.
+_SHAPES: "contextvars.ContextVar[dict | None]" = contextvars.ContextVar(
+    "repro_shared_shapes", default=None
+)
+
+_UNBUILT = object()
+
+
+@contextmanager
+def shared_shapes():
+    """Share thread shapes among the streams expanded inside the block.
+
+    A shape depends only on the thread's instructions (frozen
+    dataclasses, so the key is structural) and on the thread's commit
+    choice, and it is only read once built, so structurally equal
+    threads of different tests — diy families, corpus fence variants —
+    share one.  The memo is looked up per commit choice while a stream
+    is pulled: a stream resumed after the block ends expands without
+    it, and the shapes die with the block, so nothing outlives the
+    sweep that built them.
+    """
+    token = _SHAPES.set({})
+    try:
+        yield
+    finally:
+        _SHAPES.reset(token)
 
 
 # ----------------------------------------------------------------------
@@ -415,16 +455,29 @@ def _enumerate_candidates(
             committed_sets[a.tid][a.index] != a.ok for a in txn_atoms
         ):
             continue
-        shapes = [
-            _expand_thread(thread, committed_sets[tid])
-            for tid, thread in enumerate(program.threads)
-        ]
+        memo = _SHAPES.get()
+        if memo is None:  # outside a sweep: share within this choice only
+            memo = {}
+        shapes = []
+        for thread, choices, committed in zip(
+            program.threads, commit_choice, committed_sets
+        ):
+            key = (thread, choices)
+            shape = memo.get(key, _UNBUILT)
+            if shape is _UNBUILT:
+                shape = memo[key] = _expand_thread(thread, committed)
+            shapes.append(shape)
         if any(shape is None for shape in shapes):
             continue  # a committed transaction aborts unconditionally
         yield from _expand_memory(
             program, shapes, committed_sets, postcondition=postcondition,
             coherent_only=coherent_only,
         )
+
+
+#: The dependency set of every candidate without such dependencies (an
+#: ``Execution`` keeps a frozenset it is given as is).
+_NO_PAIRS: frozenset = frozenset()
 
 
 def _coww_ok(order: tuple[int, ...], thread_of: list[int]) -> bool:
@@ -449,72 +502,66 @@ def _expand_memory(
 ) -> Iterator[Candidate]:
     """Incrementally enumerate rf choices and co orders for fixed shapes.
 
-    All shape-level structure is hoisted; rf is assigned read by read
-    with the uniproc coherence patterns checked against the chosen co,
-    and postcondition atoms are applied at the outermost loop level that
-    decides them.
+    One pass over the shapes renumbers their events (threads in order,
+    events in program order) and indexes everything the search reads:
+    store values, each location's writes, the reads and the condition
+    reads, plus dependencies and transactions for the shapes that have
+    any.  The postcondition atoms and the co tables come next — between
+    them they refute many postcondition-filtered tests outright — and
+    only then the rf spaces and the per-read coherence structure.  rf is
+    assigned read by read with the uniproc coherence patterns checked
+    against the chosen co, and postcondition atoms are applied at the
+    outermost loop level that decides them.
     """
-    # -- global renumbering: threads in order, events in program order --
-    offset: list[int] = []
+    # -- one pass: renumbering, writes, reads, deps, transactions --------
     events: list[Event] = []
-    threads: list[list[int]] = []
+    threads: list[range] = []
     thread_of: list[int] = []
-    for tid, shape in enumerate(shapes):
-        offset.append(len(events))
-        threads.append(list(range(len(events), len(events) + len(shape.events))))
-        events.extend(shape.events)
-        thread_of.extend([tid] * len(shape.events))
-
-    def glob(tid: int, local: int) -> int:
-        return offset[tid] + local
-
     store_values: dict[int, int] = {}
     writes_by_loc: dict[str, list[int]] = {}
-    for tid, shape in enumerate(shapes):
-        for local, value in shape.store_values.items():
-            store_values[glob(tid, local)] = value
-    for eid, event in enumerate(events):
-        if event.is_write:
-            writes_by_loc.setdefault(event.loc, []).append(eid)
-
     reads: list[tuple[int, int, str]] = []  # (tid, global id, reg)
-    for tid, shape in enumerate(shapes):
-        for local, reg in shape.reads:
-            reads.append((tid, glob(tid, local), reg))
-
+    #: (tid, reg) -> index in ``reads`` of the register's last definition
+    last_def: dict[tuple[int, str], int] = {}
     # Conditional aborts in committed transactions: the condition read
     # must observe zero, i.e. the initial value (store values are
     # non-zero by validation) — its rf space collapses to {init}.
     condition_reads: set[int] = set()
-    for tid, shape in enumerate(shapes):
-        condition_reads.update(glob(tid, c) for c in shape.abort_conditions)
-
     deps = {"addr": [], "data": [], "ctrl": [], "rmw": []}
     txns: list[Transaction] = []
     for tid, shape in enumerate(shapes):
-        for name in ("addr", "data", "ctrl", "rmw"):
-            deps[name].extend(
-                (glob(tid, a), glob(tid, b)) for a, b in getattr(shape, name)
-            )
+        base = len(events)
+        local_events = shape.events
+        events.extend(local_events)
+        threads.append(range(base, len(events)))
+        thread_of.extend([tid] * len(local_events))
+        # Store values are keyed in program order, so every location's
+        # writes are listed in global event order.
+        for local, value in shape.store_values.items():
+            w = base + local
+            store_values[w] = value
+            loc = local_events[local].loc
+            ws = writes_by_loc.get(loc)
+            if ws is None:
+                writes_by_loc[loc] = [w]
+            else:
+                ws.append(w)
+        for local, reg in shape.reads:
+            last_def[(tid, reg)] = len(reads)
+            reads.append((tid, base + local, reg))
+        for local in shape.abort_conditions:
+            condition_reads.add(base + local)
+        if shape.addr or shape.data or shape.ctrl or shape.rmw:
+            for name, pairs in (
+                ("addr", shape.addr),
+                ("data", shape.data),
+                ("ctrl", shape.ctrl),
+                ("rmw", shape.rmw),
+            ):
+                deps[name].extend((base + a, base + b) for a, b in pairs)
         for first, last, atomic in shape.txns:
             txns.append(
-                Transaction(
-                    tuple(range(glob(tid, first), glob(tid, last) + 1)), atomic
-                )
+                Transaction(tuple(range(base + first, base + last + 1)), atomic)
             )
-
-    committed = frozenset(
-        (tid, idx)
-        for tid, chosen in enumerate(committed_sets)
-        for idx, ok in chosen.items()
-        if ok
-    )
-    aborted = frozenset(
-        (tid, idx)
-        for tid, chosen in enumerate(committed_sets)
-        for idx, ok in chosen.items()
-        if not ok
-    )
 
     # -- postcondition atoms decided by this shape -----------------------
     reg_atoms: dict[tuple[int, str], int] = {}
@@ -535,9 +582,8 @@ def _expand_memory(
                 if want != atom.values:
                     return
         # Registers never defined in this shape stay 0.
-        defined = {(tid, reg) for tid, _, reg in reads}
         for key, value in reg_atoms.items():
-            if key not in defined and value != 0:
+            if key not in last_def and value != 0:
                 return
         # Locations with fewer than two writes have a fixed final state.
         for loc, value in mem_atoms.items():
@@ -552,51 +598,6 @@ def _expand_memory(
                 fixed = tuple(store_values[w] for w in ws)
                 if fixed != values:
                     return
-
-    # -- rf spaces, statically restricted --------------------------------
-    last_def: dict[tuple[int, str], int] = {}
-    for i, (tid, _, reg) in enumerate(reads):
-        last_def[(tid, reg)] = i
-
-    rf_spaces: list[list[int | None]] = []
-    for i, (tid, gid, reg) in enumerate(reads):
-        if gid in condition_reads:
-            space: list[int | None] = [None]
-        else:
-            space = [None] + writes_by_loc.get(events[gid].loc, [])
-        want = reg_atoms.get((tid, reg))
-        if want is not None and last_def[(tid, reg)] == i:
-            space = [
-                w
-                for w in space
-                if (0 if w is None else store_values[w]) == want
-            ]
-        if not space:
-            return
-        rf_spaces.append(space)
-
-    # -- per-read structure for the uniproc coherence patterns -----------
-    read_loc = [events[gid].loc for _, gid, _ in reads]
-    #: same-thread same-location writes po-before / po-after each read
-    writes_before: list[list[int]] = []
-    writes_after: list[list[int]] = []
-    #: po-earlier same-thread same-location reads (indices into reads)
-    prev_reads: list[list[int]] = []
-    for i, (tid, gid, _) in enumerate(reads):
-        ws = writes_by_loc.get(read_loc[i], [])
-        writes_before.append(
-            [w for w in ws if thread_of[w] == tid and w < gid]
-        )
-        writes_after.append(
-            [w for w in ws if thread_of[w] == tid and w > gid]
-        )
-        prev_reads.append(
-            [
-                j
-                for j in range(i)
-                if reads[j][0] == tid and read_loc[j] == read_loc[i]
-            ]
-        )
 
     # -- co permutation tables, postcondition- and coWW-annotated --------
     base_co = {
@@ -623,13 +624,61 @@ def _expand_memory(
             return
         co_tables.append(table)
 
+    # -- rf spaces, statically restricted; uniproc per-read structure ---
+    rf_spaces: list[list[int | None]] = []
+    #: same-thread same-location writes po-before / po-after each read
+    writes_before: list[list[int]] = []
+    writes_after: list[list[int]] = []
+    #: po-earlier same-thread same-location reads (indices into reads)
+    prev_reads: list[list[int]] = []
+    earlier: dict[tuple[int, str], list[int]] = {}
+    for i, (tid, gid, reg) in enumerate(reads):
+        loc = events[gid].loc
+        ws = writes_by_loc.get(loc, [])
+        if gid in condition_reads:
+            space: list[int | None] = [None]
+        else:
+            space = [None] + ws
+        want = reg_atoms.get((tid, reg))
+        if want is not None and last_def[(tid, reg)] == i:
+            space = [
+                w
+                for w in space
+                if (0 if w is None else store_values[w]) == want
+            ]
+        if not space:
+            return
+        rf_spaces.append(space)
+        writes_before.append(
+            [w for w in ws if thread_of[w] == tid and w < gid]
+        )
+        writes_after.append(
+            [w for w in ws if thread_of[w] == tid and w > gid]
+        )
+        same = earlier.setdefault((tid, loc), [])
+        prev_reads.append(list(same))
+        same.append(i)
+
+    committed = frozenset(
+        (tid, idx)
+        for tid, chosen in enumerate(committed_sets)
+        for idx, ok in chosen.items()
+        if ok
+    )
+    aborted = frozenset(
+        (tid, idx)
+        for tid, chosen in enumerate(committed_sets)
+        for idx, ok in chosen.items()
+        if not ok
+    )
+
     # -- structure shared by every candidate -----------------------------
     events_t = tuple(events)
     nonempty_threads = tuple(t for t in threads if t)
-    addr_fs = frozenset(deps["addr"])
-    data_fs = frozenset(deps["data"])
-    ctrl_fs = frozenset(deps["ctrl"])
-    rmw_fs = frozenset(deps["rmw"])
+    addr_fs = frozenset(deps["addr"]) if deps["addr"] else _NO_PAIRS
+    data_fs = frozenset(deps["data"]) if deps["data"] else _NO_PAIRS
+    ctrl_fs = frozenset(deps["ctrl"]) if deps["ctrl"] else _NO_PAIRS
+    rmw_fs = frozenset(deps["rmw"]) if deps["rmw"] else _NO_PAIRS
     txns_t = tuple(txns)
     n_reads = len(reads)
     chosen: list[int | None] = [None] * n_reads
@@ -745,6 +794,10 @@ def _expand_memory(
             chosen[i] = None
 
         yield from assign(0, co_ok)
+    # ``assign`` reaches itself through its closure.  Unbinding it when
+    # the search ends lets reference counting free the per-test
+    # structure it holds, instead of leaving a cycle to the collector.
+    assign = None  # noqa: F841
 
 
 # ----------------------------------------------------------------------

@@ -25,16 +25,19 @@ pool tasks.  Unknown options — such as the retired ``batch`` and
 Job lifecycle: ``queued`` → ``running`` → ``done`` | ``failed``.  A job
 *fails* only when its suite cannot be built (bad paths, a bad diy
 arch); a malformed spec, including an unknown diy edge name, an empty
-diy vocabulary or a diy length that is not an integer ≥ 2, is a
-:class:`SpecError` at submit.  Checker crashes, timeouts, and dead
-workers degrade to poisoned cells inside a ``done`` job.
+diy vocabulary, a diy length that is not an integer ≥ 2 or a diy suite
+of more than :data:`MAX_DIY_TESTS` tests, is a :class:`SpecError` at
+submit.  Checker crashes, timeouts, and dead workers degrade to
+poisoned cells inside a ``done`` job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from ..engine.batchsweep import CELL_TIMEOUT
+from ..engine.campaign import DIY_VOCAB
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -42,6 +45,7 @@ __all__ = [
     "JobSpec",
     "SpecError",
     "DEFAULT_PORT",
+    "MAX_DIY_TESTS",
 ]
 
 #: Bumped when request/response shapes change incompatibly; the server
@@ -55,6 +59,12 @@ DEFAULT_PORT = 7907
 JOB_STATES = ("queued", "running", "done", "failed")
 
 SUITE_KINDS = ("files", "diy", "catalog")
+
+#: The most tests a diy suite may hold.  The job thread realises every
+#: cycle as a litmus test (~0.25 ms each), and suites grow about 3× per
+#: length step; the cap still admits the 11-edge transactional
+#: vocabulary at length 7 (25,808 tests).
+MAX_DIY_TESTS = 30_000
 
 
 class SpecError(ValueError):
@@ -93,7 +103,7 @@ class JobSpec:
             if not paths:
                 raise SpecError("files suite has no paths")
         if kind == "diy":
-            from ..synth.diy import edge
+            from ..synth.diy import edge, enumerate_cycles
 
             vocab = suite.get("vocab")
             if vocab is not None:
@@ -115,6 +125,18 @@ class JobSpec:
             if type(length) is not int or length < 2:
                 raise SpecError(
                     f"diy suite needs 'length': int >= 2, got {length!r}"
+                )
+            # One test per cycle, counted lazily: the count stops at the
+            # cap, so an oversized suite is refused in under a second
+            # and never built.
+            cycles = enumerate_cycles(
+                DIY_VOCAB if vocab is None else vocab, length
+            )
+            tests = sum(1 for _ in islice(cycles, MAX_DIY_TESTS + 1))
+            if tests > MAX_DIY_TESTS:
+                raise SpecError(
+                    f"diy suite of length {length} has more than "
+                    f"{MAX_DIY_TESTS} tests"
                 )
         models = data.get("models")
         if (

@@ -45,7 +45,7 @@ from repro.engine.campaign import diy_suite, litmus_suite, run_campaign
 from repro.engine.checkers import resolve_checker
 from repro.ir import nodes as N
 from repro.ir.batch import HAVE_NUMPY, BatchContext, pack_relations, pack_sets
-from repro.ir.eval import STATS, axiom_holds, evaluate
+from repro.ir.eval import _BASE_RELATION, STATS, axiom_holds, evaluate
 from repro.ir.model import IRAxiom, IRDefinition
 from repro.litmus.candidates import (
     _expand_test,
@@ -153,6 +153,58 @@ class TestPackers:
         assert str(data.dtype) == "float32"
         for b, events in enumerate(sets):
             assert frozenset(data[b].nonzero()[0].tolist()) == events
+
+
+def _diy_stacks():
+    """The prefill's buckets for the power diy suite up to length 5 (the
+    coherence-pruned ``exists`` candidates by universe size), as fresh
+    copies.  Unlike the catalog, they hold locations with three writes."""
+    buckets: dict[int, list[tuple[str, Execution]]] = {}
+    for item in diy_suite("power", max_length=5):
+        for candidate in _expand_test(
+            item.payload.program, item.payload.postcondition, True
+        ):
+            x = candidate.execution
+            buckets.setdefault(x.n, []).append((item.name, _fresh(x)))
+    return buckets
+
+
+#: The leaves read off execution fields or, for a transactional stack,
+#: packed from the scalar relations.
+_PACKED_LEAVES = (
+    "rf", "co", "addr", "data", "ctrl", "rmw", "stxn", "stxnat", "tfence",
+)
+
+
+@needs_numpy
+def test_leaves_match_scalar_relations():
+    """Each leaf equals ``pack_relations`` over the scalar relations of
+    independent copies, on the transactional and the baseline view —
+    over the diy buckets, where ``co`` orders three writes (so a packer
+    emitting only adjacent pairs fails), and over the catalog, which has
+    dependencies, ``rmw`` and transactions."""
+    stacks = list(_diy_stacks().values()) + list(_catalog_stacks().values())
+    three_writes = sum(
+        any(len(order) >= 3 for order in x.co.values())
+        for stack in stacks
+        for _, x in stack
+    )
+    assert three_writes >= 9, "no co with three writes: the test is hollow"
+    for stack in stacks:
+        executions = [x for _, x in stack]
+        ctx = BatchContext.of(executions)
+        for target in (ctx, ctx.baseline):
+            analyses = [analyze(_fresh(x)) for x in executions]
+            if target is not ctx:
+                analyses = [a.baseline for a in analyses]
+            for token in _PACKED_LEAVES:
+                got = plan.base_value(target, token)
+                want = pack_relations(
+                    [_BASE_RELATION[token](a) for a in analyses], ctx.n
+                )
+                assert got.shape == want.shape, token
+                assert str(got.dtype) == "float32", token
+                assert (got == want).all(), (token, ctx.n)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Unit tests for the program→candidate-execution expansion."""
 
+import itertools
+
 import pytest
 
 from repro.core.wellformed import is_wellformed
+from repro.engine.campaign import diy_suite, run_campaign
+from repro.litmus import candidates as cand
 from repro.litmus.candidates import candidate_executions
 from repro.litmus.program import (
     CtrlBranch,
@@ -114,3 +118,53 @@ class TestStructure:
         # po order does not constrain candidates' co... but wellformedness
         # of the outcome means the final is the co-last of each order.
         assert finals == {1, 2}
+
+
+class TestSharedShapes:
+    """Thread shapes are shared within one campaign sweep, and only
+    within it."""
+
+    @staticmethod
+    def _distinct_shapes(items) -> int:
+        """The suite's distinct ``(thread, commit choice)`` pairs."""
+        keys = set()
+        for item in items:
+            for thread in item.payload.program.threads:
+                txns = sum(isinstance(i, TxBegin) for i in thread)
+                for choice in itertools.product([True, False], repeat=txns):
+                    keys.add((thread, choice))
+        return len(keys)
+
+    def test_one_expansion_per_distinct_thread_per_sweep(self, monkeypatch):
+        items = diy_suite("power", max_length=5)
+        threads = sum(len(i.payload.program.threads) for i in items)
+        distinct = self._distinct_shapes(items)
+        assert distinct < threads  # otherwise there is nothing to share
+        calls = []
+        real = cand._expand_thread
+
+        def spy(thread, committed):
+            calls.append(thread)
+            return real(thread, committed)
+
+        monkeypatch.setattr(cand, "_expand_thread", spy)
+        models = [
+            "armv8", "cpp", "power", "power-dongol", "riscv", "sc", "tsc",
+            "x86",
+        ]
+        for _ in range(2):
+            # A fresh sweep: no retained stream to replay.
+            cand._expand_program_cached.cache_clear()
+            cand._expand_test.cache_clear()
+            calls.clear()
+            run_campaign(items, models)
+            assert len(calls) == distinct
+
+    def test_no_memo_outside_a_block(self):
+        assert cand._SHAPES.get() is None
+        with cand.shared_shapes():
+            outer = cand._SHAPES.get()
+            with cand.shared_shapes():
+                assert cand._SHAPES.get() is not outer
+            assert cand._SHAPES.get() is outer
+        assert cand._SHAPES.get() is None

@@ -464,6 +464,19 @@ class TestUnknownDiyEdge:
         assert code == 2
         assert "error: unknown edge ''" in captured.err
 
+    def test_campaign_length_below_two_exits_two(self, capsys):
+        # A cycle needs two edges: a shorter length is a usage error,
+        # not an empty suite (exit 1 would read as a violated
+        # expectation).
+        code = main(
+            ["campaign", "--suite", "diy", "--length", "1", "--models",
+             "x86", "--no-cache"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: diy length must be >= 2, got 1" in captured.err
+        assert "empty suite" not in captured.out
+
     def test_submit_sends_a_given_vocab(self):
         from repro.cli import _submit_suite, build_parser
         from repro.serve import JobSpec, SpecError

@@ -348,6 +348,21 @@ class TestJobSpec:
         assert spec.suite["length"] == 2
         assert suite_items(spec.suite)
 
+    def test_oversized_diy_suite_rejected_at_submit(self):
+        # The default vocabulary closes millions of cycles at length 14;
+        # the count stops at the cap instead of building any of them.
+        with pytest.raises(SpecError, match="more than 30000 tests"):
+            JobSpec.from_dict(
+                {"suite": {"kind": "diy", "length": 14}, "models": ["x86"]}
+            )
+
+    def test_diy_length_seven_accepted(self):
+        # 1526 tests: the length the benchmark's diy workload sweeps.
+        spec = JobSpec.from_dict(
+            {"suite": {"kind": "diy", "length": 7}, "models": ["x86"]}
+        )
+        assert spec.suite["length"] == 7
+
 
 # ----------------------------------------------------------------------
 # The service (in process)
