@@ -836,6 +836,18 @@ def _cmd_elision(args) -> int:
     return 0 if result.sound else 1
 
 
+def _seconds(text: str) -> float:
+    """An argparse type: a finite positive number of seconds."""
+    import math
+
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number of seconds, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -916,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "a shared result store and an HTTP JSON API")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p.add_argument("--cell-timeout", type=float, default=CELL_TIMEOUT,
+    p.add_argument("--cell-timeout", type=_seconds, default=CELL_TIMEOUT,
                    metavar="SECS",
                    help="default per-cell compute budget; a shard is "
                         "abandoned after cell_timeout x the largest "
@@ -952,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"http://127.0.0.1:{DEFAULT_PORT})")
     p.add_argument("--label", default=None,
                    help="job label for listings and the run manifest")
-    p.add_argument("--cell-timeout", type=float, default=CELL_TIMEOUT,
+    p.add_argument("--cell-timeout", type=_seconds, default=CELL_TIMEOUT,
                    metavar="SECS")
     p.add_argument("--retries", type=int, default=1, metavar="N")
     p.add_argument("--shards", type=int, default=None, metavar="N")

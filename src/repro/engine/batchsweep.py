@@ -57,6 +57,7 @@ carried.
 
 from __future__ import annotations
 
+import threading
 import time
 import warnings
 from itertools import repeat
@@ -448,7 +449,8 @@ def plan_shards(
     units are cut into ``shards`` batch-aware shards (default ``4 ×``
     the worker count; :func:`assemble_shards`).  The budget, the
     per-task timeout handed to :func:`~repro.engine.pool.resilient_map`,
-    is ``cell_timeout`` × the largest shard's pending-cell count.
+    is ``cell_timeout`` × the largest shard's pending-cell count, capped
+    at :data:`threading.TIMEOUT_MAX`, the longest wait a lock accepts.
     """
     if jobs == 1:
         count = 1
@@ -458,7 +460,7 @@ def plan_shards(
     largest = max(
         (sum(len(u[2]) for u in shard) for shard in planned), default=0
     )
-    return planned, cell_timeout * largest
+    return planned, min(cell_timeout * largest, threading.TIMEOUT_MAX)
 
 
 def poisoned_rows(shard, error: str) -> list:

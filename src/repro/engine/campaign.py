@@ -480,22 +480,29 @@ def diy_suite(
     return out
 
 
-def litmus_suite(paths: Iterable[str]) -> list[CampaignItem]:
+def litmus_suite(
+    paths: Iterable[str], contents: "Sequence[bytes] | None" = None
+) -> list[CampaignItem]:
     """Litmus files as campaign items, auto-detecting the format.
 
     Both the neutral format and the herd-style dialect frontends
     (:mod:`repro.litmus.frontend`) are accepted; a ``~exists`` condition
     records the expectation that the test is *forbidden* under its
     architecture's model, so the campaign's diff report flags any model
-    that observes it.
+    that observes it.  ``contents``, when given, holds each file's bytes
+    as already read (in ``paths`` order), and the files are not read
+    again.
     """
     from ..litmus.frontend import load_litmus_file
     from ..models.registry import MODELS
 
+    paths = list(paths)
+    if contents is None:
+        contents = [None] * len(paths)
     out = []
     names: dict[str, int] = {}
-    for path in paths:
-        test = load_litmus_file(path)
+    for path, data in zip(paths, contents):
+        test = load_litmus_file(path, data)
         name = test.name
         if name in names:
             # Same test name in several files (common across dialect

@@ -8,16 +8,30 @@ degrades to a plain in-process loop when ``jobs <= 1``, when there is
 only one task, or when the platform cannot fork worker processes
 (sandboxes, restricted CI runners).
 
+One *warm* pool serves every dispatch of a process while its workers
+live, so a long-lived caller such as the campaign service forks its
+workers, and they compile their kernels, once rather than once per job.
+A pooled task still starts from what a fresh fork had: the per-test
+expansion memos are cleared around every task, and a pool forked under
+another campaign-prefill switch
+(:func:`~repro.litmus.candidates.set_batch_size`) is replaced.
+:func:`shutdown` joins the warm pool's workers (the campaign service
+calls it when it stops); other processes leave that to the exit hook of
+:mod:`concurrent.futures`.
+
 A task that hangs or whose worker process dies must cost its own
 result, never the whole run: tasks are submitted individually, each is
 bounded by a timeout, retried a bounded number of times, and a
 still-failing task degrades to a :class:`PoisonedTask` marker the caller
-turns into errored cells (or, for Table 2, an exception).
+turns into errored cells (or, for Table 2, an exception).  Only a worker
+death or a hang discards the warm pool; the next dispatch forks a fresh
+one.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -26,9 +40,10 @@ from concurrent.futures import (
 )
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from ..litmus import candidates as litmus_candidates
 from ..obs import telemetry
 
-__all__ = ["resilient_map", "default_jobs", "PoisonedTask"]
+__all__ = ["resilient_map", "default_jobs", "PoisonedTask", "shutdown"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -49,6 +64,92 @@ def _worker_init() -> None:
     their results (see :func:`repro.engine.batchsweep.run_shard`).
     """
     telemetry.reset_worker_state()
+
+
+def _clear_task_memos() -> None:
+    litmus_candidates.expand_program.cache_clear()
+    litmus_candidates._expand_test.cache_clear()
+
+
+def _task(fn, item):
+    """One pooled task, run as a freshly forked worker would run it: the
+    per-test expansion memos are cleared before and after it, so a task
+    neither sees nor leaves another task's, and a warm worker holds one
+    task's worth of them at most.  A pool the task dispatched to is
+    joined before it returns: children of a worker would hold its pipes
+    open after its death, and its parent would never see it die."""
+    _clear_task_memos()
+    try:
+        return fn(item)
+    finally:
+        _clear_task_memos()
+        shutdown()
+
+
+#: The warm pool as ``(executor, workers, prefill switch at fork)``;
+#: None before the first pooled dispatch and after a discard.
+_WARM: "tuple[ProcessPoolExecutor, int, bool] | None" = None
+_WARM_LOCK = threading.Lock()
+
+
+def _forget_parent_pool() -> None:
+    """A forked child does not own its parent's workers: a dispatch
+    from inside a pooled task forks a pool of its own."""
+    global _WARM, _WARM_LOCK
+    _WARM = None
+    _WARM_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_parent_pool)
+
+
+def _warm_pool(workers: int, jobs: int) -> ProcessPoolExecutor:
+    """The warm pool if it suits a round of ``workers`` tasks at most
+    ``jobs`` wide, else a fresh pool of ``workers`` that replaces it.
+
+    The prefill switch is part of the fit: forked workers read it from
+    their copy of the parent, so a pool forked under the other setting
+    would not see a :func:`~repro.litmus.candidates.set_batch_size`
+    made since.
+    """
+    global _WARM
+    prefill = litmus_candidates._prefill
+    with _WARM_LOCK:
+        warm, _WARM = _WARM, None
+        if warm is not None:
+            executor, size, forked_under = warm
+            if workers <= size <= jobs and forked_under == prefill:
+                _WARM = warm
+                return executor
+    if warm is not None:
+        _discard(warm[0], wait=True)
+    executor = ProcessPoolExecutor(
+        max_workers=workers, initializer=_worker_init
+    )
+    with _WARM_LOCK:
+        _WARM = (executor, workers, prefill)
+    return executor
+
+
+def _discard(pool: ProcessPoolExecutor, wait: bool) -> None:
+    """Shut ``pool`` down; the next dispatch forks a fresh warm pool."""
+    global _WARM
+    with _WARM_LOCK:
+        if _WARM is not None and _WARM[0] is pool:
+            _WARM = None
+    pool.shutdown(wait=wait, cancel_futures=True)
+
+
+def shutdown() -> None:
+    """Shut the warm pool down and join its workers (idempotent).
+
+    The next pooled dispatch forks a fresh pool.  Call it only while no
+    dispatch runs: the campaign service does so when its scheduler
+    thread has ended, so ``repro serve`` exits with no worker left.
+    """
+    warm = _WARM
+    if warm is not None:
+        _discard(warm[0], wait=True)
 
 
 class PoisonedTask:
@@ -108,12 +209,14 @@ def resilient_map(
     :class:`PoisonedTask` in its result slot.  Results keep task order;
     every slot holds either ``fn``'s return value or a ``PoisonedTask``.
 
+    Tasks run on the process's warm pool (see the module docstring).
     After a worker death the survivors are re-run in *isolation* (one
     single-worker pool per round), so the culprit is charged precisely
     and innocent tasks complete unharmed.  A hung worker's process is
-    abandoned, not joined — the pool is discarded and rebuilt, which
-    leaks the stuck process by design (killing it is the OS's job; the
-    caller's job must not block on it).
+    abandoned, not joined — the pool is discarded, and the next round
+    or dispatch forks a fresh one, which leaks the stuck process by
+    design (killing it is the OS's job; the caller's job must not block
+    on it).
 
     The in-process fallback (``jobs <= 1`` or no subprocess support)
     retries crashes per task but cannot preempt a hung call — timeouts
@@ -134,8 +237,10 @@ def resilient_map(
         workers = 1 if isolate else min(jobs, len(remaining))
         batch = remaining[:1] if isolate else list(remaining)
         try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init
+            pool = (
+                ProcessPoolExecutor(max_workers=1, initializer=_worker_init)
+                if isolate
+                else _warm_pool(workers, jobs)
             )
         except (OSError, PermissionError):
             tail = _serial_resilient(
@@ -144,7 +249,13 @@ def resilient_map(
             for i, value in zip(remaining, tail):
                 results[i] = value
             break
-        futures = {pool.submit(fn, items[i]): i for i in batch}
+        try:
+            futures = {pool.submit(_task, fn, items[i]): i for i in batch}
+        except BrokenExecutor:
+            # The warm pool lost a worker while idle.  Nothing ran, so
+            # nothing is charged; the round reruns on a fresh pool.
+            _discard(pool, wait=False)
+            continue
         submitted = set(batch)
         for i in batch:
             attempts[i] += 1
@@ -172,9 +283,10 @@ def resilient_map(
                     broken = True
                 except Exception as exc:  # fn itself raised in a worker
                     errors[i] = f"{type(exc).__name__}: {exc}"
-        # A hung worker must not block the job: abandon it (the pool is
-        # discarded; the stuck process is leaked by design).
-        pool.shutdown(wait=not (broken or stalled), cancel_futures=True)
+        if isolate or broken or stalled:
+            # A hung worker must not block the job: abandon it (the pool
+            # is discarded; the stuck process is leaked by design).
+            _discard(pool, wait=not (broken or stalled))
         for future in stalled:
             errors[futures[future]] = (
                 f"TimeoutError: no result within {timeout}s"

@@ -41,6 +41,7 @@ imports without numpy; kernels are only built with it.
 from __future__ import annotations
 
 import warnings
+from collections import OrderedDict
 
 from . import plan as _plan
 from .batch import _np
@@ -428,9 +429,10 @@ def generate_source(plan, n: int) -> str:
 # Compilation
 # ----------------------------------------------------------------------
 
-#: ``(definition_token, n) -> kernel | None`` — None records a build
-#: failure (those stacks are checked on the scalar path).
-_COMPILED: dict[tuple[str, int], object] = {}
+#: ``(definition_token, n) -> kernel | None``, least recently used
+#: first and at most :data:`repro.ir.plan.KERNEL_CACHE_SIZE` long — None
+#: records a build failure (those stacks are checked on the scalar path).
+_COMPILED: OrderedDict[tuple[str, int], object] = OrderedDict()
 
 _MISSING = object()
 
@@ -449,6 +451,7 @@ def compiled_for(token: str, definition, n: int):
     key = (token, n)
     hit = _COMPILED.get(key, _MISSING)
     if hit is not _MISSING:
+        _COMPILED.move_to_end(key)
         return hit
     try:
         plan = _plan.plan_for(token, definition, n)
@@ -466,6 +469,8 @@ def compiled_for(token: str, definition, n: int):
             stacklevel=2,
         )
     _COMPILED[key] = kernel
+    while len(_COMPILED) > _plan.KERNEL_CACHE_SIZE:
+        _COMPILED.popitem(last=False)
     return kernel
 
 

@@ -100,8 +100,10 @@ def set_batch_size(size: "int | None") -> None:
     ``0`` (or ``1``) turns it off, so every cell runs on the scalar
     per-cell path — the reference the batched-vs-scalar differentials
     and the benchmark verdict digests are taken from; ``None`` or any
-    larger size turns it back on.  Forked pool workers inherit the
-    setting.
+    larger size turns it back on.  Pooled workers see the setting of
+    the process that dispatches to them: forked workers inherit it, and
+    the warm pool (:mod:`repro.engine.pool`) is replaced when it was
+    forked under the other setting.
     """
     global _prefill
     if size is not None and size < 0:

@@ -152,14 +152,19 @@ def dump_dialect(test: LitmusTest) -> str:
     return dumps(test)
 
 
-def load_litmus_file(path: str) -> LitmusTest:
+def load_litmus_file(path: str, data: "bytes | None" = None) -> LitmusTest:
     """Load a ``.litmus`` file, auto-detecting its format.
 
+    ``data``, when given, is the file's bytes as already read; the file
+    is then not opened.  Either way the bytes are decoded as a text-mode
+    read decodes them: UTF-8, with ``\\r\\n`` and ``\\r`` read as ``\\n``.
     Parse failures re-raise as :class:`FrontendError` with the path
     prefixed, so CLI consumers print ``file:line: message`` diagnostics.
     """
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    if data is None:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
         return load_any(text)
     except ParseError as exc:

@@ -75,18 +75,32 @@ def default_runs_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", ".repro-cache")) / "runs"
 
 
+#: ``git_describe()`` results by working directory.
+_GIT_STAMPS: dict[str, "str | None"] = {}
+
+
 def git_describe() -> str | None:
-    """``git describe --always --dirty`` of the CWD, or ``None``."""
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return out.stdout.strip() or None if out.returncode == 0 else None
+    """``git describe --always --dirty`` of the CWD, or ``None``.
+
+    Memoized per working directory for the life of the process: the
+    running code is fixed at import, so one ``git`` subprocess per
+    directory stamps every manifest the process writes there.
+    """
+    cwd = os.getcwd()
+    if cwd not in _GIT_STAMPS:
+        try:
+            out = subprocess.run(
+                ["git", "describe", "--always", "--dirty"],
+                capture_output=True,
+                text=True,
+                timeout=5,
+            )
+        except (OSError, subprocess.SubprocessError):
+            stamp = None
+        else:
+            stamp = out.stdout.strip() or None if out.returncode == 0 else None
+        _GIT_STAMPS[cwd] = stamp
+    return _GIT_STAMPS[cwd]
 
 
 @dataclass

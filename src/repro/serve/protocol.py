@@ -16,8 +16,9 @@ A ``JobSpec``::
      "models": ["x86", "x86tm"],
      "options": {"cell_timeout": 60.0, "retries": 1, "shards": null}}
 
-``cell_timeout`` (default :data:`~repro.engine.batchsweep.CELL_TIMEOUT`)
-scales each shard's time budget, ``retries`` bounds the re-runs of a
+``cell_timeout`` (default :data:`~repro.engine.batchsweep.CELL_TIMEOUT`,
+a finite positive number of seconds) scales each shard's time budget,
+``retries`` bounds the re-runs of a
 shard whose worker died or hung, and ``shards`` overrides the number of
 pool tasks.  Unknown options — such as the retired ``batch`` and
 ``codegen`` knobs older clients still send — are ignored.
@@ -33,6 +34,7 @@ poisoned cells inside a ``done`` job.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -155,8 +157,11 @@ class JobSpec:
             shards = None if shards is None else int(shards)
         except (TypeError, ValueError) as exc:
             raise SpecError(f"bad option value: {exc}") from None
-        if cell_timeout <= 0:
-            raise SpecError("cell_timeout must be positive")
+        if not (math.isfinite(cell_timeout) and cell_timeout > 0):
+            raise SpecError(
+                f"cell_timeout must be a finite positive number, "
+                f"got {cell_timeout!r}"
+            )
         if retries < 0:
             raise SpecError("retries must be >= 0")
         if shards is not None and shards < 1:
@@ -192,18 +197,20 @@ class JobSpec:
         return "catalog"
 
 
-def suite_items(suite: dict) -> list:
+def suite_items(suite: dict, contents: "list[bytes] | None" = None) -> list:
     """Build the campaign items a suite description names.
 
-    Raises ``SpecError`` for unreadable files / unknown entries — the
-    submit-time failure mode that marks a job ``failed``.
+    ``contents``, for a files suite, holds each file's bytes as the
+    caller already read them; they are parsed instead of reading the
+    files again.  Raises ``SpecError`` for unreadable files / unknown
+    entries — the submit-time failure mode that marks a job ``failed``.
     """
     from ..engine import catalog_suite, diy_suite, litmus_suite
 
     kind = suite.get("kind")
     try:
         if kind == "files":
-            return litmus_suite(suite["paths"])
+            return litmus_suite(suite["paths"], contents)
         if kind == "diy":
             return diy_suite(
                 suite.get("arch", "x86"),

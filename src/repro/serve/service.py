@@ -25,17 +25,28 @@ telemetry bundle stays unambiguous.  Within a job:
 * on completion the job writes a run manifest (keyed by the job id)
   with verdict/cache/stage/latency aggregates.
 
+Work an earlier job already did is not redone.  Pooled jobs share the
+process's warm worker pool (:mod:`repro.engine.pool`), which the
+scheduler thread shuts down, joining its workers, when it ends.  A
+files suite is parsed and fingerprinted once per content: the service
+memoizes it by the ordered ``(path, SHA-256 of the bytes)`` of its
+files, so an edited file is a new key (:class:`_SuiteMemo`).  diy and
+catalog suites are built afresh for every job.
+
 A job *fails* only when its suite or model list cannot be built; every
 execution-time failure degrades to cells within a ``done`` job.
 """
 
 from __future__ import annotations
 
+import hashlib
 import queue
 import threading
 import time
+from collections import OrderedDict
 
 from ..engine import batchsweep
+from ..engine import pool as engine_pool
 from ..engine.cache import (
     NullCache,
     ResultCache,
@@ -52,7 +63,12 @@ from ..obs import telemetry as obs_telemetry
 from ..obs import trace
 from .protocol import JobSpec, SpecError, suite_items
 
-__all__ = ["Job", "CampaignService"]
+__all__ = ["Job", "CampaignService", "SUITE_MEMO_ITEMS"]
+
+#: The most items the files-suite memo of one service holds.  The four
+#: corpus directories perfbench's serve workload submits hold 218
+#: tests, and a parsed test takes about 3 kB.
+SUITE_MEMO_ITEMS = 2048
 
 
 def _run_shard(shard):
@@ -62,6 +78,40 @@ def _run_shard(shard):
     telemetry-snapshot)``.
     """
     return batchsweep.run_shard(shard)
+
+
+class _SuiteMemo:
+    """Parsed files suites, least recently used first, keyed by content.
+
+    A key is the ordered ``(path, SHA-256 of the file's bytes)`` pairs
+    of a suite, so an edited file changes the key and a stale test is
+    never served.  An entry is ``(items, fingerprints)``, each
+    fingerprint None when the service does not cache.  The
+    entries hold at most ``limit`` items in all: the least recently used
+    suites are evicted first, and a suite larger than ``limit`` is not
+    kept.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.items = 0
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+
+    def get(self, key: tuple) -> "tuple | None":
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def put(self, key: tuple, entry: tuple) -> None:
+        size = len(entry[0])
+        if size > self.limit:
+            return
+        self._entries[key] = entry
+        self.items += size
+        while self.items > self.limit:
+            _key, (evicted, _fps) = self._entries.popitem(last=False)
+            self.items -= len(evicted)
 
 
 class Job:
@@ -191,6 +241,7 @@ class CampaignService:
         self._seq = 0
         self._thread: threading.Thread | None = None
         self._stopping = False
+        self._suites = _SuiteMemo(SUITE_MEMO_ITEMS)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -204,7 +255,12 @@ class CampaignService:
         return self
 
     def stop(self, wait: bool = True) -> None:
-        """Stop after the current job; queued jobs stay ``queued``."""
+        """Stop after the current job; queued jobs stay ``queued``.
+
+        The scheduler thread shuts the warm worker pool down as it ends,
+        so once ``stop()`` returns no worker is left.  ``stop(wait=False)``
+        returns at once; the pool goes when the running job ends.
+        """
         with self._lock:
             self._stopping = True
         self._queue.put(None)
@@ -263,18 +319,21 @@ class CampaignService:
     # -- scheduler -------------------------------------------------------
 
     def _loop(self) -> None:
-        while True:
-            job_id = self._queue.get()
-            if job_id is None:
-                return
-            job = self._jobs[job_id]
-            try:
-                self._execute(job)
-                self.metrics.counter("jobs_completed").inc()
-            except SpecError as exc:
-                self._fail(job, str(exc))
-            except Exception as exc:  # defensive: a job bug, not a cell
-                self._fail(job, f"{type(exc).__name__}: {exc}")
+        try:
+            while True:
+                job_id = self._queue.get()
+                if job_id is None:
+                    return
+                job = self._jobs[job_id]
+                try:
+                    self._execute(job)
+                    self.metrics.counter("jobs_completed").inc()
+                except SpecError as exc:
+                    self._fail(job, str(exc))
+                except Exception as exc:  # defensive: a job bug, not a cell
+                    self._fail(job, f"{type(exc).__name__}: {exc}")
+        finally:
+            engine_pool.shutdown()
 
     def _fail(self, job: Job, message: str) -> None:
         with self._lock:
@@ -314,9 +373,42 @@ class CampaignService:
             if bundle is not None:
                 obs_telemetry.disable()
 
+    def _suite(self, suite: dict, caching: bool) -> tuple:
+        """``(items, fingerprints)`` of a suite description, each
+        fingerprint None unless ``caching``; a files suite comes from
+        the memo when its files' bytes are unchanged."""
+        if suite.get("kind") != "files":
+            items = suite_items(suite)  # SpecError -> failed job
+            return items, self._fingerprints(items, caching)
+        paths = suite["paths"]
+        try:
+            contents = []
+            for path in paths:
+                with open(path, "rb") as handle:
+                    contents.append(handle.read())
+        except OSError as exc:
+            raise SpecError(f"cannot build suite: {exc}") from exc
+        key = tuple(
+            (path, hashlib.sha256(data).hexdigest())
+            for path, data in zip(paths, contents)
+        )
+        entry = self._suites.get(key)
+        if entry is None:
+            items = suite_items(suite, contents)
+            entry = (items, self._fingerprints(items, caching))
+            self._suites.put(key, entry)
+        return entry
+
+    @staticmethod
+    def _fingerprints(items, caching: bool) -> list:
+        if not caching:
+            return [None] * len(items)
+        return [fingerprint(item.payload) for item in items]
+
     def _run_job(self, job: Job) -> None:
         spec = job.spec
-        items = suite_items(spec.suite)  # SpecError -> failed job
+        caching = not isinstance(self.cache, NullCache)
+        items, fingerprints = self._suite(spec.suite, caching)
         checkers = [resolve_checker(model) for model in spec.models]
         names = [item.name for item in items]
         if len(set(names)) != len(names):
@@ -331,13 +423,11 @@ class CampaignService:
         if folded:
             self.metrics.counter("cache_records_refreshed").inc(folded)
 
-        caching = not isinstance(self.cache, NullCache)
         tokens = {checker.spec: checker.token for checker in checkers}
         keys: dict[tuple[str, str], str] = {}
         telemetry_on = trace.ACTIVE is not None
         units = []
-        for item in items:
-            item_fp = fingerprint(item.payload) if caching else None
+        for item, item_fp in zip(items, fingerprints):
             pending = []
             for checker in checkers:
                 model = checker.spec

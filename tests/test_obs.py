@@ -301,6 +301,28 @@ class TestManifest:
         loaded = man.load_manifest(path)
         assert loaded == manifest
 
+    def test_git_stamp_runs_git_once_per_process(self, tmp_path, monkeypatch):
+        from repro.engine import catalog_suite, run_campaign
+
+        runs = []
+        real = man.subprocess.run
+
+        def counted(*args, **kwargs):
+            runs.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(man, "_GIT_STAMPS", {})
+        monkeypatch.setattr(man.subprocess, "run", counted)
+        result = run_campaign(catalog_suite()[:2], ["sc"])
+        stamps = [
+            man.load_manifest(
+                man.write_manifest(man.from_campaign(result), tmp_path)
+            ).git
+            for _ in range(2)
+        ]
+        assert [argv[0] for argv in runs] == ["git"]
+        assert stamps[0] == stamps[1]
+
     def test_rejects_wrong_version(self, tmp_path):
         data = _manifest().to_dict()
         data["version"] = man.MANIFEST_VERSION + 1

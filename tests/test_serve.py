@@ -5,11 +5,14 @@ its HTTP face."""
 import json
 import multiprocessing
 import os
+import signal
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.engine import diy_suite, run_campaign
+from repro.engine import pool as engine_pool
 from repro.engine.cache import NullCache, ResultCache
 from repro.engine.pool import PoisonedTask, resilient_map
 from repro.litmus.candidates import set_batch_size
@@ -22,6 +25,7 @@ from repro.serve import (
     ServiceServer,
     SpecError,
 )
+from repro.serve import service as service_module
 from repro.serve.protocol import suite_items
 
 
@@ -200,6 +204,107 @@ class TestResilientMap:
         assert "TimeoutError" in out[1].error
 
 
+def _slow_pid(_x):
+    # Slow enough that both workers of a two-worker pool take a task.
+    time.sleep(0.2)
+    return os.getpid()
+
+
+def _pids():
+    return set(resilient_map(_slow_pid, range(4), jobs=2, timeout=30))
+
+
+def _nested_sum(_x):
+    return sum(resilient_map(_double, range(3), jobs=2))
+
+
+def _memo_seen(test):
+    """How many expansions the memo held when the task started; the
+    task then leaves one behind."""
+    from repro.litmus.candidates import _expand_test, expand_test
+
+    seen = _expand_test.cache_info().currsize
+    list(expand_test(test))
+    return seen
+
+
+class TestWarmPool:
+    """One pool serves consecutive dispatches until a worker dies or
+    hangs, and a pooled task sees the switches of the dispatching
+    process."""
+
+    def test_consecutive_dispatches_share_the_workers(self):
+        first, second = _pids(), _pids()
+        assert os.getpid() not in first
+        assert first & second  # a fresh pool per dispatch shares none
+        assert len(first | second) <= 2
+
+    def test_pooled_tasks_share_no_expansion_memo(self):
+        tests = [item.payload for item in diy_suite("x86", max_length=2)]
+        for _ in range(2):
+            seen = resilient_map(_memo_seen, tests, jobs=2, timeout=30)
+            assert seen == [0] * len(tests)
+
+    def test_pooled_task_can_dispatch(self):
+        # Workers forked from a process holding a warm pool must fork
+        # their own, not submit to a copy of their parent's.
+        _pids()
+        out = resilient_map(_nested_sum, range(2), jobs=2, timeout=30)
+        assert out == [6, 6]
+
+    def test_worker_death_discards_the_pool(self):
+        before = _pids()
+        # The timeout turns a death the pool failed to notice into a
+        # failure, not a hang.
+        out = resilient_map(
+            _die_on_3, [1, 2, 3, 4, 5], jobs=2, timeout=30, retries=0
+        )
+        assert isinstance(out[2], PoisonedTask)
+        assert "worker process died" in out[2].error
+        after = _pids()
+        assert len(after) >= 1 and not after & before
+
+    def test_worker_killed_while_idle(self):
+        victim = _pids().pop()
+        os.kill(victim, signal.SIGKILL)
+        time.sleep(0.5)  # the pool notices the death while idle
+        after = resilient_map(_slow_pid, range(4), jobs=2, timeout=30)
+        assert all(isinstance(pid, int) for pid in after)
+        assert victim not in after
+
+    def test_hang_discards_the_pool(self):
+        before = _pids()
+        out = resilient_map(
+            _hang_on_2, [1, 2, 4], jobs=2, timeout=1.0, retries=0
+        )
+        assert isinstance(out[1], PoisonedTask)
+        after = _pids()
+        assert len(after) >= 1 and not after & before
+
+    def test_set_batch_size_reaches_pooled_workers(self):
+        suite = diy_suite("x86", max_length=3)
+
+        def batched_spans():
+            bundle = telemetry.enable()
+            try:
+                run_campaign(suite, ["x86"], jobs=2, cache=NullCache())
+                spans = [
+                    s for s in bundle.tracer.spans if s["name"] == "cell"
+                ]
+            finally:
+                telemetry.disable()
+            assert len(spans) == len(suite)
+            return [s for s in spans if (s.get("attrs") or {}).get("batched")]
+
+        assert batched_spans()  # the pool forked with the prefill on
+        try:
+            set_batch_size(0)
+            assert not batched_spans()
+        finally:
+            set_batch_size(None)
+        assert batched_spans()
+
+
 # ----------------------------------------------------------------------
 # Batching × telemetry
 # ----------------------------------------------------------------------
@@ -303,6 +408,31 @@ class TestJobSpec:
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(SpecError):
             JobSpec.from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "timeout",
+        ["nan", "inf", "-inf", float("nan"), float("inf"), 1e309, 0, -1.5],
+    )
+    def test_non_finite_or_non_positive_cell_timeout_rejected(self, timeout):
+        with pytest.raises(SpecError, match="finite positive"):
+            JobSpec.from_dict(
+                {
+                    "suite": {"kind": "diy"},
+                    "models": ["x86"],
+                    "options": {"cell_timeout": timeout},
+                }
+            )
+
+    @pytest.mark.parametrize("timeout", [0.5, "2", 5e9, 1e308])
+    def test_finite_cell_timeout_accepted(self, timeout):
+        spec = JobSpec.from_dict(
+            {
+                "suite": {"kind": "diy"},
+                "models": ["x86"],
+                "options": {"cell_timeout": timeout},
+            }
+        )
+        assert spec.cell_timeout == float(timeout)
 
     def test_unknown_diy_edge_rejected_at_submit(self):
         # An edge-name lookup touches no filesystem, so a typo is a 400
@@ -602,6 +732,183 @@ class TestCampaignService:
             assert "job_seconds_count 1" in text
         finally:
             service.stop()
+
+    def test_stop_leaves_no_worker(self, tmp_path):
+        engine_pool.shutdown()  # the service forks its own warm pool
+        before = {p.pid for p in multiprocessing.active_children()}
+        service = self._service(tmp_path, jobs=2, cache=NullCache())
+        try:
+            for models in (["x86", "sc"], ["x86tm", "sc"]):
+                job = _wait_done(
+                    service,
+                    service.submit(JobSpec.from_dict({**DIY2, "models": models})),
+                )
+                assert job.state == "done"
+            workers = {
+                p.pid for p in multiprocessing.active_children()
+            } - before
+            assert workers  # the jobs ran on pooled workers
+        finally:
+            service.stop()
+        left = {p.pid for p in multiprocessing.active_children()}
+        assert not left & workers
+        assert left <= before
+
+    def test_huge_cell_timeout_runs_the_job(self, tmp_path):
+        # 5e9 s x the largest shard's cells is past the longest wait a
+        # lock accepts; the budget is clamped instead of overflowing.
+        service = self._service(tmp_path, jobs=2, cache=NullCache())
+        try:
+            job = _wait_done(
+                service,
+                service.submit(
+                    JobSpec.from_dict(
+                        {
+                            **DIY2,
+                            "models": ["x86", "sc"],
+                            "options": {"cell_timeout": 5e9},
+                        }
+                    )
+                ),
+            )
+        finally:
+            service.stop()
+        assert job.state == "done", job.error
+        assert job.poisoned_cells == job.error_cells == 0
+        assert len(job.cells) == job.total_cells == 10
+
+
+# ----------------------------------------------------------------------
+# The files-suite memo
+# ----------------------------------------------------------------------
+
+CORPUS_X86 = Path(__file__).resolve().parent / "corpus" / "x86"
+
+#: ``sb`` with a fence on both sides: the outcome x86 allows for the
+#: corpus ``sb`` becomes forbidden.
+FENCED_SB = """X86 sb
+{ x=0; y=0; }
+ P0          | P1          ;
+ MOV [x],$1  | MOV [y],$1  ;
+ MFENCE      | MFENCE      ;
+ MOV EAX,[y] | MOV EAX,[x] ;
+exists (0:EAX=0 /\\ 1:EAX=0)
+"""
+
+
+def _files_spec(paths, models=("x86",)):
+    return JobSpec.from_dict(
+        {
+            "suite": {"kind": "files", "paths": [str(p) for p in paths]},
+            "models": list(models),
+        }
+    )
+
+
+def _verdicts(job):
+    return {(c["item"], c["model"]): c["verdict"] for c in job.cells}
+
+
+class TestSuiteMemo:
+    """A files suite is parsed and fingerprinted once per content."""
+
+    def _copy(self, tmp_path, names):
+        paths = []
+        for name in names:
+            path = tmp_path / name
+            path.write_bytes((CORPUS_X86 / name).read_bytes())
+            paths.append(path)
+        return paths
+
+    def _spies(self, monkeypatch):
+        """Count parses and record each fingerprint by test name."""
+        from repro.litmus import frontend
+
+        parses = []
+        fingerprints = []
+        load, fingerprint = frontend.load_litmus_file, service_module.fingerprint
+
+        def counted_load(path, data=None):
+            parses.append(path)
+            return load(path, data)
+
+        def recorded_fingerprint(payload):
+            fingerprints.append((payload.name, fingerprint(payload)))
+            return fingerprints[-1][1]
+
+        monkeypatch.setattr(frontend, "load_litmus_file", counted_load)
+        monkeypatch.setattr(service_module, "fingerprint", recorded_fingerprint)
+        return parses, fingerprints
+
+    def _run(self, service, spec):
+        job = _wait_done(service, service.submit(spec))
+        assert job.state == "done", job.error
+        return job
+
+    def test_unchanged_files_are_parsed_and_fingerprinted_once(
+        self, tmp_path, monkeypatch
+    ):
+        paths = self._copy(tmp_path, ["sb.litmus", "mp.litmus"])
+        parses, fingerprints = self._spies(monkeypatch)
+        service = CampaignService(
+            cache_dir=tmp_path / "cache", runs_dir=tmp_path / "runs"
+        ).start()
+        try:
+            spec = _files_spec(paths, ["x86", "sc"])
+            first = self._run(service, spec)
+            second = self._run(service, spec)
+        finally:
+            service.stop()
+        assert len(parses) == 2
+        assert len(fingerprints) == 2
+        assert first.computed_cells == 4
+        assert second.cached_cells == second.total_cells == 4
+        assert _verdicts(first) == _verdicts(second)
+
+    def test_edited_file_is_parsed_again(self, tmp_path, monkeypatch):
+        sb, mp = self._copy(tmp_path, ["sb.litmus", "mp.litmus"])
+        parses, fingerprints = self._spies(monkeypatch)
+        service = CampaignService(
+            cache_dir=tmp_path / "cache", runs_dir=tmp_path / "runs"
+        ).start()
+        try:
+            spec = _files_spec([sb, mp])
+            first = self._run(service, spec)
+            sb.write_text(FENCED_SB)
+            second = self._run(service, spec)
+        finally:
+            service.stop()
+        assert len(parses) == 4  # the edited suite is a new key
+        old, new = [fp for name, fp in fingerprints if name == "sb"]
+        assert old != new
+        assert _verdicts(first)[("sb", "x86")] is True
+        assert _verdicts(second)[("sb", "x86")] is False
+        cells = {c["item"]: c for c in second.cells}
+        assert not cells["sb"]["cached"]
+        assert cells["mp"]["cached"]
+
+    def test_memo_never_exceeds_its_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_module, "SUITE_MEMO_ITEMS", 3)
+        files = self._copy(
+            tmp_path,
+            ["sb.litmus", "mp.litmus", "lb.litmus", "r.litmus", "s.litmus"],
+        )
+        parses, _ = self._spies(monkeypatch)
+        service = CampaignService(
+            cache=NullCache(), runs_dir=tmp_path / "runs"
+        ).start()
+        memo = service._suites
+        try:
+            for subset in ((0, 1), (2,), (0, 1), (3,), (2,), (0, 1, 2, 3)):
+                self._run(service, _files_spec([files[i] for i in subset]))
+                held = sum(len(items) for items, _ in memo._entries.values())
+                assert memo.items == held <= 3
+        finally:
+            service.stop()
+        # (0, 1) stayed warm when (3,) evicted (2,), which was parsed
+        # again; the four-file suite is past the bound and not kept.
+        assert len(parses) == 2 + 1 + 1 + 1 + 4
+        assert len(memo._entries) == 2
 
 
 # ----------------------------------------------------------------------
