@@ -21,9 +21,9 @@ Commands:
   JSONL span sidecar, ``--json`` writes the machine-readable result;
 * ``serve`` / ``submit`` / ``jobs`` — the campaign *service*: ``serve``
   runs a long-lived job queue over the engine (shared result store,
-  per-shard timeouts/retries, poisoned-cell degradation, per-job run
-  manifests) behind a stdlib HTTP JSON API; ``submit`` sends a suite ×
-  models job and streams its cells; ``jobs`` lists/inspects jobs.  See
+  the campaign's per-shard timeout and retry, poisoned-cell
+  degradation, per-job run manifests) behind a stdlib HTTP JSON API;
+  ``submit`` sends a suite × models job and streams its cells; ``jobs`` lists/inspects jobs.  See
   ``src/repro/serve/README.md`` for the protocol;
 * ``stats list|show|diff`` — query recorded run manifests; ``diff``
   compares two runs metric-by-metric (``--fail-over PCT`` gates);
@@ -356,9 +356,6 @@ def _cmd_serve(args) -> int:
 
     service = CampaignService(
         jobs=args.jobs,
-        cell_timeout=args.cell_timeout,
-        retries=args.retries,
-        shards=args.shards,
         cache=_make_cache(args),
         runs_dir=_runs_dir_for(args),
         telemetry=not args.no_telemetry,
@@ -409,11 +406,6 @@ def _cmd_submit(args) -> int:
     body = {
         "suite": _submit_suite(args),
         "models": (args.models or args.arch).split(","),
-        "options": {
-            "cell_timeout": args.cell_timeout,
-            "retries": args.retries,
-            "shards": args.shards,
-        },
         "label": args.label or "",
     }
     try:
@@ -836,18 +828,6 @@ def _cmd_elision(args) -> int:
     return 0 if result.sound else 1
 
 
-def _seconds(text: str) -> float:
-    """An argparse type: a finite positive number of seconds."""
-    import math
-
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite positive number of seconds, got {text!r}"
-        )
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -920,7 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(matrix, per-cell timings, cache stats)")
     add_engine_options(p)
 
-    from .engine.batchsweep import CELL_TIMEOUT
     from .serve.protocol import DEFAULT_PORT
 
     p = sub.add_parser("serve",
@@ -928,16 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "a shared result store and an HTTP JSON API")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p.add_argument("--cell-timeout", type=_seconds, default=CELL_TIMEOUT,
-                   metavar="SECS",
-                   help="default per-cell compute budget; a shard is "
-                        "abandoned after cell_timeout x the largest "
-                        "shard's cell count")
-    p.add_argument("--retries", type=int, default=1, metavar="N",
-                   help="default re-runs for a shard whose worker died "
-                        "or hung before its cells are poisoned")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="pool tasks per job (default 4 x jobs)")
     p.add_argument("--no-telemetry", action="store_true",
                    help="skip the per-job telemetry bundle and manifest")
     p.add_argument("--verbose", action="store_true",
@@ -964,10 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"http://127.0.0.1:{DEFAULT_PORT})")
     p.add_argument("--label", default=None,
                    help="job label for listings and the run manifest")
-    p.add_argument("--cell-timeout", type=_seconds, default=CELL_TIMEOUT,
-                   metavar="SECS")
-    p.add_argument("--retries", type=int, default=1, metavar="N")
-    p.add_argument("--shards", type=int, default=None, metavar="N")
     p.add_argument("--watch", action="store_true",
                    help="print each cell as it lands")
     p.add_argument("--no-wait", action="store_true",

@@ -51,8 +51,8 @@ time budget.  :func:`~repro.engine.pool.resilient_map` runs
 :func:`run_shard` over them: the prefill over the whole shard, then the
 per-cell path for whatever it left undecided.  A shard whose worker
 died or hung comes back as a :class:`~repro.engine.pool.PoisonedTask`,
-which :func:`poisoned_rows` turns into one errored row per cell it
-carried.
+which :func:`~repro.engine.campaign.settle_shards` turns into one
+errored row per cell it carried (:func:`poisoned_rows`).
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ __all__ = [
     "run_shard",
 ]
 
-#: Default per-cell compute budget in seconds, for CLI campaigns and the
-#: service alike; a shard's budget scales it by the shard's cell count.
+#: Per-cell compute budget in seconds, for CLI campaigns and the service
+#: alike; a shard's budget scales it by the shard's cell count.
 CELL_TIMEOUT = 60.0
 
 #: Per-cell candidate cap for the collect phase: a stream still going
@@ -436,31 +436,25 @@ def assemble_shards(units, n_shards: int) -> list[list]:
     return shards
 
 
-def plan_shards(
-    units,
-    jobs: int,
-    shards: "int | None" = None,
-    cell_timeout: float = CELL_TIMEOUT,
-) -> "tuple[list[list], float]":
+def plan_shards(units, jobs: int) -> "tuple[list[list], float]":
     """The pool tasks for ``units`` and each task's time budget.
 
-    A serial run (``jobs == 1``) gets one in-process shard holding every
-    unit, so the prefill sweeps the whole suite at once.  Otherwise the
-    units are cut into ``shards`` batch-aware shards (default ``4 ×``
-    the worker count; :func:`assemble_shards`).  The budget, the
+    One fixed policy serves CLI campaigns and the campaign service
+    alike.  A serial run (``jobs == 1``) gets one in-process shard
+    holding every unit, so the prefill sweeps the whole suite at once;
+    otherwise the units are cut into ``4 ×`` the worker count
+    batch-aware shards (:func:`assemble_shards`).  The budget, the
     per-task timeout handed to :func:`~repro.engine.pool.resilient_map`,
-    is ``cell_timeout`` × the largest shard's pending-cell count, capped
-    at :data:`threading.TIMEOUT_MAX`, the longest wait a lock accepts.
+    is :data:`CELL_TIMEOUT` (read at call time) × the largest shard's
+    pending-cell count, capped at :data:`threading.TIMEOUT_MAX`, the
+    longest wait a lock accepts.
     """
-    if jobs == 1:
-        count = 1
-    else:
-        count = shards or 4 * (jobs or default_jobs())
+    count = 1 if jobs == 1 else 4 * (jobs or default_jobs())
     planned = assemble_shards(units, count)
     largest = max(
         (sum(len(u[2]) for u in shard) for shard in planned), default=0
     )
-    return planned, min(cell_timeout * largest, threading.TIMEOUT_MAX)
+    return planned, min(CELL_TIMEOUT * largest, threading.TIMEOUT_MAX)
 
 
 def poisoned_rows(shard, error: str) -> list:

@@ -21,14 +21,17 @@ cross-product cheap:
 
 :func:`run_campaign` returns a :class:`CampaignResult` with per-model
 verdict matrices, timing, cache accounting, and diff-vs-expected
-summaries.
+summaries.  The store probe (:func:`probe_store`) and the settlement of
+dispatched shards (:func:`settle_shards`) are the campaign service's
+too, so a service job and a CLI campaign run under one policy and
+record the same telemetry.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..core.execution import Execution
 from ..litmus.test import LitmusTest
@@ -45,6 +48,8 @@ __all__ = [
     "CellResult",
     "CampaignResult",
     "run_campaign",
+    "probe_store",
+    "settle_shards",
     "catalog_suite",
     "diy_suite",
     "litmus_suite",
@@ -320,10 +325,12 @@ def run_campaign(
             ``0`` = one per CPU.
         cache: persistent store; ``None`` disables caching.
 
-    Pending cells run as shards through
-    :func:`~repro.engine.pool.resilient_map`, with its one retry and a
-    budget of :data:`~repro.engine.batchsweep.CELL_TIMEOUT` per cell: a
-    shard whose worker dies or hangs yields errored cells.
+    The store serves what it holds (:func:`probe_store`); pending cells
+    run as shards through :func:`~repro.engine.pool.resilient_map`,
+    with its one retry and a budget of
+    :data:`~repro.engine.batchsweep.CELL_TIMEOUT` per cell, and
+    :func:`settle_shards` records what they computed: a shard whose
+    worker dies or hangs yields errored cells.
     """
     items = list(items)
     # Resolve once, before forking: bad specs fail fast.
@@ -334,7 +341,6 @@ def run_campaign(
     specs = [checker.spec for checker in checkers]
     if len(set(specs)) != len(specs):
         raise ValueError(f"duplicate model specs in {specs}")
-    tokens = {checker.spec: checker.token for checker in checkers}
     cache = cache if cache is not None else NullCache()
     start = time.perf_counter()
 
@@ -346,89 +352,154 @@ def run_campaign(
         seen_names.add(item.name)
         names.append(item.name)
 
+    served, units, keys = probe_store(items, checkers, cache)
     cells: dict[tuple[str, str], CellResult] = {}
-    hits = 0
-    keys: dict[tuple[str, str], str] = {}
-    caching = not isinstance(cache, NullCache)
-    telemetry_on = trace.ACTIVE is not None
-    units = []
-    for item in items:
-        pending = checkers
-        if caching:
-            # Fingerprinting is the expensive per-item step; uncached
-            # runs skip it entirely.
-            pending = []
-            with trace.stage("cache"):
-                item_fp = fingerprint(item.payload)
-            for checker in checkers:
-                spec = checker.spec
-                with trace.stage("cache"):
-                    key = keys[(item.name, spec)] = cache_key(
-                        item_fp, spec, tokens[spec]
-                    )
-                    record = cache.get(key)
-                if record is None:
-                    pending.append(checker)
-                    continue
-                hits += 1
-                cells[(item.name, spec)] = CellResult(
-                    bool(record["verdict"]),
-                    float(record.get("elapsed", 0.0)),
-                    cached=True,
-                )
-        if pending:
-            units.append(
-                (item.name, item.payload, tuple(pending), telemetry_on)
-            )
-    misses = sum(len(unit[2]) for unit in units)
-
-    registry = obs_metrics.ACTIVE
+    for name, spec, verdict, elapsed, _error in served:
+        cells[(name, spec)] = CellResult(verdict, elapsed, cached=True)
     shards, budget = plan_shards(units, jobs)
     outcomes = resilient_map(run_shard, shards, jobs=jobs, timeout=budget)
-    for shard, outcome in zip(shards, outcomes):
-        if isinstance(outcome, PoisonedTask):
-            outcome = (poisoned_rows(shard, outcome.error), None)
-        rows, snap = outcome
-        # Worker-side telemetry (stage self-times, per-cell spans, IR
-        # counters) comes home with the shard's rows; merging it is what
-        # makes ``--profile``/manifests see pool time.
-        obs_telemetry.merge_snapshot(snap)
+    for rows, _poisoned in settle_shards(shards, outcomes, keys, cache):
         for name, spec, verdict, elapsed, error in rows:
             cells[(name, spec)] = CellResult(
                 verdict, elapsed, cached=False, error=error
             )
-            if error is not None:
-                continue  # never cache a crash as a verdict
-            if registry is not None:
-                # Parent-side observation keeps latency percentiles
-                # exact for serial and parallel runs alike.
-                registry.histogram(f"cell_seconds:{spec}").observe(elapsed)
-            if caching:
-                with trace.stage("cache"):
-                    cache.put(
-                        keys[(name, spec)],
-                        cell_record(verdict, elapsed, name, spec),
-                    )
-
-    if telemetry_on:
-        trace.count("cells_computed", misses)
-        trace.count("cells_cached", hits)
-        if registry is not None and caching and hasattr(cache, "stats_dict"):
-            stats = cache.stats_dict()
-            registry.counter("cache_hits").inc(hits)
-            registry.counter("cache_misses").inc(misses)
-            registry.gauge("cache_entries").set(stats["entries"])
-            registry.gauge("cache_bytes").set(stats["bytes"])
 
     return CampaignResult(
         item_names=names,
         model_specs=specs,
         cells=cells,
         elapsed=time.perf_counter() - start,
-        cache_hits=hits,
-        cache_misses=misses,
-        tokens=tokens,
+        cache_hits=len(served),
+        cache_misses=len(cells) - len(served),
+        tokens={checker.spec: checker.token for checker in checkers},
     )
+
+
+def probe_store(
+    items: Sequence[CampaignItem],
+    checkers: Sequence[Checker],
+    cache: ResultCache | NullCache,
+    fingerprints: "Sequence[str] | None" = None,
+) -> tuple[list, list, dict]:
+    """Serve what the store holds; ``(served, units, keys)``.
+
+    ``served`` holds one ``(item, spec, verdict, elapsed, None)`` row
+    per cell the store answered, in item then checker order; ``units``
+    holds one ``(item, payload, pending checkers, telemetry on)`` unit
+    per item with a pending cell, ready for
+    :func:`~repro.engine.batchsweep.plan_shards`; ``keys`` maps each
+    pending ``(item, spec)`` to its store key.  ``fingerprints``, when
+    given, holds each item's :func:`~repro.engine.cache.fingerprint` in
+    ``items`` order; otherwise they are computed here.
+
+    Without a store this is one pass building one unit per item, with
+    no per-cell work.  With one, the whole probe is timed as one
+    ``cache`` stage.  Either way the telemetry counts ``cells_cached``
+    and ``cells_computed`` (and, with a store, the ``cache_hits`` and
+    ``cache_misses`` metrics).
+    """
+    checkers = tuple(checkers)
+    telemetry_on = trace.ACTIVE is not None
+    caching = not isinstance(cache, NullCache)
+    served: list = []
+    keys: dict[tuple[str, str], str] = {}
+    if not caching:
+        units = [
+            (item.name, item.payload, checkers, telemetry_on)
+            for item in items
+        ]
+    else:
+        units = []
+        with trace.stage("cache"):
+            if fingerprints is None:
+                fingerprints = [fingerprint(item.payload) for item in items]
+            for item, item_fp in zip(items, fingerprints):
+                pending = []
+                for checker in checkers:
+                    spec = checker.spec
+                    key = cache_key(item_fp, spec, checker.token)
+                    record = cache.get(key)
+                    if record is None:
+                        keys[(item.name, spec)] = key
+                        pending.append(checker)
+                        continue
+                    served.append((
+                        item.name,
+                        spec,
+                        bool(record["verdict"]),
+                        float(record.get("elapsed", 0.0)),
+                        None,
+                    ))
+                if pending:
+                    units.append(
+                        (item.name, item.payload, tuple(pending), telemetry_on)
+                    )
+    if telemetry_on:
+        misses = sum(len(unit[2]) for unit in units)
+        trace.count("cells_computed", misses)
+        trace.count("cells_cached", len(served))
+        registry = obs_metrics.ACTIVE
+        if registry is not None and caching:
+            registry.counter("cache_hits").inc(len(served))
+            registry.counter("cache_misses").inc(misses)
+    return served, units, keys
+
+
+def settle_shards(
+    shards: Sequence[list],
+    outcomes: Sequence,
+    keys: dict,
+    cache: ResultCache | NullCache,
+) -> Iterator[tuple[list, bool]]:
+    """Record what the dispatched shards computed; yields ``(rows,
+    poisoned)`` once per shard, in shard order.
+
+    ``outcomes`` are :func:`~repro.engine.pool.resilient_map`'s results
+    for ``shards``; a :class:`~repro.engine.pool.PoisonedTask` becomes
+    one errored row per cell of its shard (``poisoned`` is then True).
+    Before a shard's rows are yielded, the worker's telemetry snapshot
+    is merged, each verdict's elapsed time is observed in its model's
+    ``cell_seconds:<spec>`` histogram, and each verdict is written to
+    the store under its ``keys`` entry — an errored cell is neither
+    observed nor stored.  Once every shard is settled the store's
+    ``cache_entries``/``cache_bytes`` gauges are set.
+    """
+    registry = obs_metrics.ACTIVE
+    caching = not isinstance(cache, NullCache)
+    for shard, outcome in zip(shards, outcomes):
+        poisoned = isinstance(outcome, PoisonedTask)
+        if poisoned:
+            rows, snap = poisoned_rows(shard, outcome.error), None
+        else:
+            rows, snap = outcome
+        # Worker-side telemetry (stage self-times, per-cell spans, IR
+        # counters) comes home with the shard's rows; merging it is what
+        # makes ``--profile``/manifests see pool time.
+        obs_telemetry.merge_snapshot(snap)
+        if registry is not None:
+            # Parent-side observation keeps latency percentiles exact
+            # for serial and parallel runs alike.
+            for _name, spec, _verdict, elapsed, error in rows:
+                if error is None:
+                    registry.histogram(f"cell_seconds:{spec}").observe(elapsed)
+        if caching:
+            with trace.stage("cache"):
+                for name, spec, verdict, elapsed, error in rows:
+                    if error is None:  # never cache a crash as a verdict
+                        cache.put(
+                            keys[(name, spec)],
+                            cell_record(verdict, elapsed, name, spec),
+                        )
+        yield rows, poisoned
+    if (
+        caching
+        and registry is not None
+        and trace.ACTIVE is not None
+        and hasattr(cache, "stats_dict")
+    ):
+        stats = cache.stats_dict()
+        registry.gauge("cache_entries").set(stats["entries"])
+        registry.gauge("cache_bytes").set(stats["bytes"])
 
 
 # ----------------------------------------------------------------------

@@ -24,8 +24,8 @@ result, never the whole run: tasks are submitted individually, each is
 bounded by a timeout, retried a bounded number of times, and a
 still-failing task degrades to a :class:`PoisonedTask` marker the caller
 turns into errored cells (or, for Table 2, an exception).  Only a worker
-death or a hang discards the warm pool; the next dispatch forks a fresh
-one.
+death or a hang discards the warm pool, terminating its workers; the
+next dispatch forks a fresh one.
 """
 
 from __future__ import annotations
@@ -132,12 +132,25 @@ def _warm_pool(workers: int, jobs: int) -> ProcessPoolExecutor:
 
 
 def _discard(pool: ProcessPoolExecutor, wait: bool) -> None:
-    """Shut ``pool`` down; the next dispatch forks a fresh warm pool."""
+    """Shut ``pool`` down; the next dispatch forks a fresh warm pool.
+
+    Without ``wait`` the pool is being abandoned after a worker death or
+    a stall, and its workers are terminated: a hung worker would
+    otherwise run on, and the exit hook of :mod:`concurrent.futures`
+    would join it (Python 3.14's ``terminate_workers()`` does the same).
+    """
     global _WARM
     with _WARM_LOCK:
         if _WARM is not None and _WARM[0] is pool:
             _WARM = None
+    # shutdown() forgets the process table, so it is read first.
+    workers = [] if wait else list((pool._processes or {}).values())
     pool.shutdown(wait=wait, cancel_futures=True)
+    for process in workers:
+        try:
+            process.terminate()
+        except (ProcessLookupError, ValueError):  # exited, or closed
+            pass
 
 
 def shutdown() -> None:
@@ -212,11 +225,12 @@ def resilient_map(
     Tasks run on the process's warm pool (see the module docstring).
     After a worker death the survivors are re-run in *isolation* (one
     single-worker pool per round), so the culprit is charged precisely
-    and innocent tasks complete unharmed.  A hung worker's process is
-    abandoned, not joined — the pool is discarded, and the next round
-    or dispatch forks a fresh one, which leaks the stuck process by
-    design (killing it is the OS's job; the caller's job must not block
-    on it).
+    and innocent tasks complete unharmed.  A hung worker is not waited
+    for: the pool is discarded and its workers terminated, and the next
+    round or dispatch forks a fresh one, so no stuck process outlives
+    the dispatch or holds up the exit of its caller.  Campaigns pass
+    ``timeout`` and keep the default one retry; Table 2 passes
+    ``retries=0``.
 
     The in-process fallback (``jobs <= 1`` or no subprocess support)
     retries crashes per task but cannot preempt a hung call — timeouts
@@ -284,8 +298,8 @@ def resilient_map(
                 except Exception as exc:  # fn itself raised in a worker
                     errors[i] = f"{type(exc).__name__}: {exc}"
         if isolate or broken or stalled:
-            # A hung worker must not block the job: abandon it (the pool
-            # is discarded; the stuck process is leaked by design).
+            # A hung worker must not block the job: the pool is
+            # discarded and its workers terminated.
             _discard(pool, wait=not (broken or stalled))
         for future in stalled:
             errors[futures[future]] = (

@@ -5,9 +5,10 @@ A long-running front end over the campaign engine, in four layers:
 * :mod:`~repro.serve.protocol` — the JSON job-spec / job-record wire
   shapes and their validation;
 * :mod:`~repro.serve.service` — the scheduler: a job queue executed one
-  campaign at a time over the engine's worker pool, with resilient
-  per-shard dispatch (timeouts, bounded retries, poisoned cells) and a
-  shared on-disk result store refreshed per job for fleet-wide dedupe;
+  campaign at a time over the engine's worker pool, with the CLI
+  campaign's resilient per-shard dispatch (timeout, one retry,
+  poisoned cells) and a shared on-disk result store refreshed per job
+  for fleet-wide dedupe;
 * :mod:`~repro.serve.server` — the stdlib HTTP face (``/v1/jobs``,
   cursor-polled ``/cells``, ``/metrics``, ``/healthz``);
 * :mod:`~repro.serve.client` — the matching urllib client with

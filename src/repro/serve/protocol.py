@@ -14,14 +14,12 @@ A ``JobSpec``::
              | {"kind": "diy", "arch": "x86", "vocab": null, "length": 3}
              | {"kind": "catalog", "names": null, "tags": null},
      "models": ["x86", "x86tm"],
-     "options": {"cell_timeout": 60.0, "retries": 1, "shards": null}}
+     "label": "optional display label"}
 
-``cell_timeout`` (default :data:`~repro.engine.batchsweep.CELL_TIMEOUT`,
-a finite positive number of seconds) scales each shard's time budget,
-``retries`` bounds the re-runs of a
-shard whose worker died or hung, and ``shards`` overrides the number of
-pool tasks.  Unknown options — such as the retired ``batch`` and
-``codegen`` knobs older clients still send — are ignored.
+Every job runs under the one execution policy CLI campaigns use (see
+:func:`~repro.engine.batchsweep.plan_shards`).  An ``options`` object,
+which older clients still send with the retired ``cell_timeout``,
+``retries``, ``shards``, ``batch`` or ``codegen`` knobs, is ignored.
 
 Job lifecycle: ``queued`` → ``running`` → ``done`` | ``failed``.  A job
 *fails* only when its suite cannot be built (bad paths, a bad diy
@@ -34,11 +32,9 @@ poisoned cells inside a ``done`` job.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
-from ..engine.batchsweep import CELL_TIMEOUT
 from ..engine.campaign import DIY_VOCAB
 
 __all__ = [
@@ -75,13 +71,12 @@ class SpecError(ValueError):
 
 @dataclass
 class JobSpec:
-    """A validated submit request (see the module docstring)."""
+    """A validated submit request (see the module docstring): a suite
+    description, model specs and a label.  It carries no execution
+    settings; every job runs under the fixed campaign policy."""
 
     suite: dict
     models: list[str]
-    cell_timeout: float = CELL_TIMEOUT
-    retries: int = 1
-    shards: int | None = None
     label: str = ""
 
     @classmethod
@@ -147,46 +142,11 @@ class JobSpec:
             or not all(isinstance(m, str) for m in models)
         ):
             raise SpecError("job spec needs 'models': [spec, ...]")
-        options = data.get("options") or {}
-        if not isinstance(options, dict):
-            raise SpecError("'options' must be an object")
-        try:
-            cell_timeout = float(options.get("cell_timeout", CELL_TIMEOUT))
-            retries = int(options.get("retries", 1))
-            shards = options.get("shards")
-            shards = None if shards is None else int(shards)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"bad option value: {exc}") from None
-        if not (math.isfinite(cell_timeout) and cell_timeout > 0):
-            raise SpecError(
-                f"cell_timeout must be a finite positive number, "
-                f"got {cell_timeout!r}"
-            )
-        if retries < 0:
-            raise SpecError("retries must be >= 0")
-        if shards is not None and shards < 1:
-            raise SpecError("shards must be >= 1")
         label = str(data.get("label", "") or "")
-        return cls(
-            suite=dict(suite),
-            models=list(models),
-            cell_timeout=cell_timeout,
-            retries=retries,
-            shards=shards,
-            label=label,
-        )
+        return cls(suite=dict(suite), models=list(models), label=label)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "models": self.models,
-            "options": {
-                "cell_timeout": self.cell_timeout,
-                "retries": self.retries,
-                "shards": self.shards,
-            },
-            "label": self.label,
-        }
+        return {"suite": self.suite, "models": self.models, "label": self.label}
 
     def default_label(self) -> str:
         kind = self.suite.get("kind")

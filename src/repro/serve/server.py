@@ -74,7 +74,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, {"error": message})
 
     def _read_json(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise SpecError(f"bad Content-Length {header!r}")
         if length > MAX_BODY:
             raise SpecError(f"request body too large ({length} bytes)")
         raw = self.rfile.read(length) if length else b""

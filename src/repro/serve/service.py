@@ -10,15 +10,18 @@ telemetry bundle stays unambiguous.  Within a job:
   processes (or previous jobs) since the last read are served as cached
   cells immediately — concurrent clients submitting overlapping suites
   dedupe fleet-wide through the shared store;
-* pending cells run exactly as in :func:`~repro.engine.campaign.
-  run_campaign`: :func:`~repro.engine.batchsweep.plan_shards` cuts the
-  units into batch-aware shards (one in-process shard at ``jobs=1``)
-  and :func:`~repro.engine.pool.resilient_map` runs them with a
-  per-shard timeout budget of ``cell_timeout ×`` the largest shard's
-  cell count and bounded retries; a shard whose worker dies or hangs
-  past its budget degrades to *poisoned* cells (``error`` set, verdict
-  ``False``, never cached) — one bad checker can poison its shard's
-  cells, never the job;
+* the job runs exactly as :func:`~repro.engine.campaign.run_campaign`
+  does, through the same two engine steps around the same dispatch:
+  :func:`~repro.engine.campaign.probe_store` serves the stored cells,
+  :func:`~repro.engine.batchsweep.plan_shards` cuts the pending units
+  into batch-aware shards (one in-process shard at ``jobs=1``),
+  :func:`~repro.engine.pool.resilient_map` runs them under the fixed
+  policy (a budget of :data:`~repro.engine.batchsweep.CELL_TIMEOUT` per
+  cell of the largest shard, one retry), and
+  :func:`~repro.engine.campaign.settle_shards` records the results; a
+  shard whose worker dies or hangs past its budget degrades to
+  *poisoned* cells (``error`` set, verdict ``False``, never cached) —
+  one bad checker can poison its shard's cells, never the job;
 * cells stream into the job's append-only cell log shard by shard as
   they land (cached cells first), so clients poll with a cursor
   (``since``) and see cells while the job still runs;
@@ -47,21 +50,24 @@ from collections import OrderedDict
 
 from ..engine import batchsweep
 from ..engine import pool as engine_pool
-from ..engine.cache import (
-    NullCache,
-    ResultCache,
-    cache_key,
-    cell_record,
-    fingerprint,
+from ..engine.cache import NullCache, ResultCache, fingerprint
+from ..engine.campaign import (
+    CampaignResult,
+    CellResult,
+    probe_store,
+    settle_shards,
 )
-from ..engine.campaign import CampaignResult, CellResult
 from ..engine.checkers import resolve_checker
-from ..engine.pool import PoisonedTask, resilient_map
+from ..engine.pool import resilient_map
 from ..obs import manifest as obs_manifest
 from ..obs import metrics as obs_metrics
 from ..obs import telemetry as obs_telemetry
-from ..obs import trace
 from .protocol import JobSpec, SpecError, suite_items
+
+# Not called here: perfbench's layer wrappers look the name up on this
+# module (``--trace 1`` fails without it), so it stays importable until
+# they retire.
+from ..engine.cache import cache_key  # noqa: F401
 
 __all__ = ["Job", "CampaignService", "SUITE_MEMO_ITEMS"]
 
@@ -196,16 +202,16 @@ class CampaignService:
     """The job scheduler behind ``repro serve`` (see the module
     docstring for the execution model).
 
+    Every job runs under the fixed policy of
+    :func:`~repro.engine.campaign.run_campaign`: ``4 × jobs`` shards
+    (one when ``jobs == 1``), a budget of
+    :data:`~repro.engine.batchsweep.CELL_TIMEOUT` per cell of the
+    largest shard, and one retry before a shard's cells are poisoned.
+
     Args:
         jobs: worker processes per campaign (``1`` = one in-process
             shard in the scheduler thread, delivered when it finishes;
             ``0`` = one per CPU).
-        cell_timeout: default per-cell seconds a submit may override;
-            a shard's budget is ``cell_timeout ×`` the largest shard's
-            cell count.
-        retries: default re-runs for a shard whose worker died or hung.
-        shards: pool tasks per job when ``jobs != 1`` (default
-            ``4 × jobs``, capped by the unit count).
         cache: a ready :class:`ResultCache`/:class:`NullCache`; built
             from ``cache_dir`` when omitted.
         runs_dir: manifest directory (``.repro-cache/runs`` default).
@@ -216,18 +222,12 @@ class CampaignService:
     def __init__(
         self,
         jobs: int = 1,
-        cell_timeout: float = batchsweep.CELL_TIMEOUT,
-        retries: int = 1,
-        shards: int | None = None,
         cache=None,
         cache_dir=None,
         runs_dir=None,
         telemetry: bool = True,
     ) -> None:
         self.jobs = jobs
-        self.cell_timeout = cell_timeout
-        self.retries = retries
-        self.shards = shards
         self.cache = cache if cache is not None else ResultCache(cache_dir)
         self.runs_dir = runs_dir
         self.telemetry = telemetry
@@ -322,8 +322,8 @@ class CampaignService:
         try:
             while True:
                 job_id = self._queue.get()
-                if job_id is None:
-                    return
+                if job_id is None or self._stopping:
+                    return  # stop(): jobs still queued stay queued
                 job = self._jobs[job_id]
                 try:
                     self._execute(job)
@@ -342,20 +342,42 @@ class CampaignService:
             job.finished = time.time()
         self.metrics.counter("jobs_failed").inc()
 
-    def _deliver(self, job: Job, cell: dict) -> None:
+    def _deliver(
+        self,
+        job: Job,
+        results: dict,
+        rows,
+        cached: bool,
+        poisoned: bool = False,
+    ) -> None:
+        """Append ``(item, model, verdict, elapsed, error)`` rows to the
+        job's cell log, and their :class:`CellResult` to ``results``,
+        the job run's campaign-result view (not kept once the job is
+        done)."""
         with self._lock:
-            cell["seq"] = len(job.cells)
-            job.cells.append(cell)
-            if cell["cached"]:
-                job.cached_cells += 1
+            for name, model, verdict, elapsed, error in rows:
+                results[(name, model)] = CellResult(
+                    verdict, elapsed, cached, error
+                )
+                job.cells.append(
+                    {
+                        "item": name,
+                        "model": model,
+                        "verdict": verdict,
+                        "elapsed": elapsed,
+                        "cached": cached,
+                        "error": error,
+                        "seq": len(job.cells),
+                    }
+                )
+                if error is not None:
+                    job.error_cells += 1
+            if cached:
+                job.cached_cells += len(rows)
             else:
-                job.computed_cells += 1
-            if cell["error"] is not None:
-                job.error_cells += 1
-                if cell.pop("poisoned", False):
-                    job.poisoned_cells += 1
-            else:
-                cell.pop("poisoned", None)
+                job.computed_cells += len(rows)
+            if poisoned:
+                job.poisoned_cells += len(rows)
 
     # -- execution -------------------------------------------------------
 
@@ -423,103 +445,35 @@ class CampaignService:
         if folded:
             self.metrics.counter("cache_records_refreshed").inc(folded)
 
-        tokens = {checker.spec: checker.token for checker in checkers}
-        keys: dict[tuple[str, str], str] = {}
-        telemetry_on = trace.ACTIVE is not None
-        units = []
-        for item, item_fp in zip(items, fingerprints):
-            pending = []
-            for checker in checkers:
-                model = checker.spec
-                record = None
-                if caching:
-                    key = cache_key(item_fp, model, tokens[model])
-                    keys[(item.name, model)] = key
-                    record = self.cache.get(key)
-                if record is not None:
-                    self._deliver(
-                        job,
-                        {
-                            "item": item.name,
-                            "model": model,
-                            "verdict": bool(record["verdict"]),
-                            "elapsed": float(record.get("elapsed", 0.0)),
-                            "cached": True,
-                            "error": None,
-                        },
-                    )
-                else:
-                    pending.append(checker)
-            if pending:
-                units.append(
-                    (item.name, item.payload, tuple(pending), telemetry_on)
-                )
-
-        shards, budget = batchsweep.plan_shards(
-            units,
-            self.jobs,
-            spec.shards or self.shards,
-            spec.cell_timeout,
+        results: dict[tuple[str, str], CellResult] = {}
+        served, units, keys = probe_store(
+            items, checkers, self.cache, fingerprints
         )
+        self._deliver(job, results, served, cached=True)
+        shards, budget = batchsweep.plan_shards(units, self.jobs)
         outcomes = resilient_map(
-            _run_shard,
-            shards,
-            jobs=self.jobs,
-            timeout=budget,
-            retries=spec.retries,
+            _run_shard, shards, jobs=self.jobs, timeout=budget
         )
-        for shard, outcome in zip(shards, outcomes):
-            poisoned = isinstance(outcome, PoisonedTask)
+        for rows, poisoned in settle_shards(
+            shards, outcomes, keys, self.cache
+        ):
             if poisoned:
                 self.metrics.counter("shards_poisoned").inc()
-                rows = batchsweep.poisoned_rows(shard, outcome.error)
-                outcome = (rows, None)
-            rows, snap = outcome
-            obs_telemetry.merge_snapshot(snap)
-            self._deliver_rows(job, rows, keys, caching, poisoned)
+            self._deliver(job, results, rows, cached=False, poisoned=poisoned)
 
-        self._finish(job, items, spec.models, tokens)
+        self._finish(job, items, checkers, results)
 
-    def _deliver_rows(self, job: Job, rows, keys, caching, poisoned) -> None:
-        for name, model, verdict, elapsed, error in rows:
-            self._deliver(
-                job,
-                {
-                    "item": name,
-                    "model": model,
-                    "verdict": verdict,
-                    "elapsed": elapsed,
-                    "cached": False,
-                    "error": error,
-                    "poisoned": poisoned,
-                },
-            )
-            if caching and error is None:  # never cache a crash
-                self.cache.put(
-                    keys[(name, model)],
-                    cell_record(verdict, elapsed, name, model),
-                )
-
-    def _finish(self, job: Job, items, models, tokens) -> None:
+    def _finish(self, job: Job, items, checkers, results) -> None:
         """Assemble the campaign-result view, write the job manifest,
         and flip the job to ``done``."""
-        cells = {
-            (cell["item"], cell["model"]): CellResult(
-                cell["verdict"],
-                cell["elapsed"],
-                cached=cell["cached"],
-                error=cell["error"],
-            )
-            for cell in job.cells
-        }
         result = CampaignResult(
             item_names=[item.name for item in items],
-            model_specs=list(models),
-            cells=cells,
+            model_specs=[checker.spec for checker in checkers],
+            cells=results,
             elapsed=job.elapsed,
             cache_hits=job.cached_cells,
             cache_misses=job.computed_cells,
-            tokens=tokens,
+            tokens={checker.spec: checker.token for checker in checkers},
         )
         diffs = len(result.diffs(items))
         manifest_path = None

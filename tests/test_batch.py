@@ -27,6 +27,7 @@ Tests that build kernels skip without numpy (or under
 
 import pathlib
 import random
+import threading
 import warnings
 
 import pytest
@@ -695,8 +696,6 @@ class TestShardAssembly:
         units = _units(17)
         shards, _budget = plan_shards(units, jobs=1)
         assert shards == [units]
-        # An explicit shard count only applies to pool runs.
-        assert plan_shards(units, jobs=1, shards=5)[0] == [units]
 
     def test_plan_parallel_is_four_shards_per_worker(self):
         units = _units(40)
@@ -707,22 +706,28 @@ class TestShardAssembly:
             u[0] for u in units
         )
 
-    def test_plan_explicit_shard_count_wins(self):
-        shards, _budget = plan_shards(_units(40), jobs=2, shards=3)
-        assert len(shards) == 3
-
     def test_plan_budget_scales_the_largest_shard(self):
         # Units carrying one or two pending cells, so shards differ.
         units = [
             (name, payload, checkers[: 1 + i % 2], tel)
             for i, (name, payload, checkers, tel) in enumerate(_units(11))
         ]
-        shards, budget = plan_shards(units, jobs=2, cell_timeout=1.5)
+        timeout = batchsweep.CELL_TIMEOUT
+        shards, budget = plan_shards(units, jobs=2)
         largest = max(sum(len(u[2]) for u in s) for s in shards)
-        assert budget == 1.5 * largest
-        _shards, serial_budget = plan_shards(units, jobs=1, cell_timeout=2.0)
-        assert serial_budget == 2.0 * sum(len(u[2]) for u in units)
+        assert budget == timeout * largest
+        _shards, serial_budget = plan_shards(units, jobs=1)
+        assert serial_budget == timeout * sum(len(u[2]) for u in units)
         assert plan_shards([], jobs=2) == ([], 0.0)
+
+    def test_plan_budget_is_clamped_to_the_longest_lock_wait(
+        self, monkeypatch
+    ):
+        # 5e9 s x the largest shard's cells is past the longest wait a
+        # lock accepts; the budget is clamped instead of overflowing.
+        monkeypatch.setattr(batchsweep, "CELL_TIMEOUT", 5e9)
+        _shards, budget = plan_shards(_units(40), jobs=2)
+        assert budget == threading.TIMEOUT_MAX
 
     def test_run_shard_matches_serial_verdicts(self):
         units = _units(9)

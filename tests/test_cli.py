@@ -488,23 +488,3 @@ class TestUnknownDiyEdge:
             JobSpec.from_dict({"suite": suite, "models": ["x86"]})
         args = build_parser().parse_args(["submit"])
         assert _submit_suite(args)["vocab"] is None
-
-
-class TestCellTimeout:
-    @pytest.mark.parametrize("command", ["serve", "submit"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2"])
-    def test_non_finite_cell_timeout_exits_two(self, capsys, command, value):
-        # Rejected while parsing, before a service starts or a request
-        # is sent.
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([command, f"--cell-timeout={value}"])
-        assert exc.value.code == 2
-        assert "finite positive number of seconds" in capsys.readouterr().err
-
-    def test_finite_cell_timeout_parses(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["submit", "--cell-timeout", "5e9"])
-        assert args.cell_timeout == 5e9
