@@ -1,112 +1,59 @@
-"""The shared candidate-analysis layer.
+"""The per-candidate analysis: one IR memo per candidate execution.
 
 Checking one candidate execution against many models (the herd-style
-campaign workload: tables 1–2, fig 7) repeatedly needs the same base
-relations — ``po``, ``rf``, ``co``, ``fr``, ``loc``, internal/external
-restrictions, dependency relations, the committed-transaction lifting
-(``stxn``/``stxnat``/``tfence``) — plus a handful of recurring derived
-values (event-set lifts, fence relations, ``acyclic(po_loc ∪ com)``'s
-operand, the lifted isolation relations).  Before this layer existed
-every model (and the ``.cat`` evaluator's environment bootstrap)
-re-derived them from the raw :class:`~repro.core.execution.Execution`.
+campaign workload: tables 1–2, fig 7) evaluates many IR nodes the
+models share.  :class:`CandidateAnalysis` is attached **once per
+candidate** and holds the memo those evaluations share:
 
-:class:`CandidateAnalysis` is computed **once per candidate** and
-memoizes everything lazily:
+* :attr:`_ir_memo` maps IR node ids (and axiom predicates) to their
+  values, so every node the swept models share — and hash-consing
+  makes them share aggressively — is computed once per candidate
+  (see :mod:`repro.ir.eval`);
+* :attr:`baseline` is the ``tm=False`` view: the same candidate with
+  the transactional structure (``stxn``, ``stxnat``, ``tfence`` and the
+  transactional event sets) erased.  The evaluator stores every
+  transaction-independent node of a baseline view on the parent's
+  memo, so a campaign mixing ``x86`` and ``x86!notm`` derives
+  ``po``/``fr``/``ppo``/… exactly once.
 
-* the :class:`~repro.core.execution.Execution`'s own cached derived
-  relations are exposed under the same names, so model code reads
-  naturally;
-* :meth:`lift`, :meth:`cross`, :meth:`fence_rel`, :meth:`labelled`,
-  :meth:`stronglift`, :meth:`weaklift` memoize the helper values models
-  build over and over;
-* :meth:`memo` lets models share arbitrary derived relations by name —
-  ``coherence`` and ``rmw_isol`` (identical in every architecture
-  model) and the heavy ``power_ppo``/``riscv_ppo`` fixpoints are
-  computed once per candidate however many models are swept;
-* :attr:`baseline` is the ``tm=False`` view: the same analysis with the
-  transactional structure erased.  It *shares* every
-  transaction-independent value with the parent (``memo(...,
-  txn_free=True)``), so a campaign mixing ``x86`` and ``x86!notm``
-  derives ``po``/``fr``/``ppo``/… exactly once.
+Base relations and event sets are read straight off the
+:class:`~repro.core.execution.Execution` (``a.x``), whose own cached
+properties hold them.
 
 Analyses attach to the execution (``Execution`` instances are immutable
 and shared across checkers via the memoized candidate expansion), so a
-campaign's checkers — native Python models, ``.cat`` models, ``!notm``
+campaign's checkers — native models, ``.cat`` models, ``!notm``
 baselines — all see one analysis per candidate.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, TypeVar
-
-from ..obs import trace
-from .events import Label
 from .execution import Execution
-from .lifting import stronglift as _stronglift
-from .lifting import weaklift as _weaklift
 from .relation import Relation
 
 __all__ = ["CandidateAnalysis", "analyze"]
 
-V = TypeVar("V")
-
-#: Execution attributes exposed verbatim (all transaction-independent).
-_DELEGATED = (
-    "n",
-    "events",
-    "threads",
-    "reads",
-    "writes",
-    "fences",
-    "calls",
-    "accesses",
-    "locations",
-    "tid_of",
-    "po",
-    "rf",
-    "co",
-    "rf_rel",
-    "co_rel",
-    "addr_rel",
-    "data_rel",
-    "ctrl_rel",
-    "rmw_rel",
-    "sloc",
-    "sthd",
-    "fr",
-    "com",
-    "rfe",
-    "rfi",
-    "coe",
-    "coi",
-    "fre",
-    "fri",
-    "come",
-    "po_loc",
-)
-
 
 class CandidateAnalysis:
-    """Lazily memoized base relations of one candidate execution.
+    """The IR memo of one candidate execution, and its ``tm=False`` view.
 
     Do not construct directly — use :meth:`of` (or :func:`analyze`),
     which attaches the analysis to the execution so every consumer of
     the same candidate shares one instance.
     """
 
-    __slots__ = ("x", "_memo", "_parent", "_baseline", "_ir_memo")
+    __slots__ = ("x", "_parent", "_baseline", "_execution", "_ir_memo")
 
     def __init__(
         self, x: Execution, _parent: "CandidateAnalysis | None" = None
     ) -> None:
         self.x = x
-        self._memo: dict = {}
         self._parent = _parent
         self._baseline: CandidateAnalysis | None = None
-        #: Values of IR nodes, keyed by node id (int) — a dedicated dict
-        #: because the IR engine is the hottest memo client by far (one
-        #: lookup per node per model sweep); txn-free nodes of a
-        #: baseline view are stored on the parent's dict instead (see
+        #: The transaction-stripped execution of a baseline view.
+        self._execution: Execution | None = None
+        #: Values of IR nodes, keyed by node id (int); txn-free nodes of
+        #: a baseline view are stored on the parent's dict instead (see
         #: :func:`repro.ir.eval.evaluate`).
         self._ir_memo: dict = {}
 
@@ -121,48 +68,10 @@ class CandidateAnalysis:
             x.__dict__["_candidate_analysis"] = cached
         return cached
 
-    # ------------------------------------------------------------------
-    # Generic memoization
-    # ------------------------------------------------------------------
-
-    def memo(self, key, compute: Callable[[], V], txn_free: bool = False) -> V:
-        """The value of ``compute()``, computed at most once per candidate.
-
-        ``txn_free=True`` declares the value independent of the
-        transactional structure: a baseline view stores it on its
-        parent, so the ``tm=True`` and ``tm=False`` sweeps of one
-        candidate share it.
-        """
-        target = (
-            self._parent
-            if txn_free and self._parent is not None
-            else self
-        )
-        memo = target._memo
-        try:
-            return memo[key]
-        except KeyError:
-            pass
-        if trace.ACTIVE is not None:
-            with trace.stage("analysis"):
-                value = compute()
-        else:
-            value = compute()
-        memo[key] = value
-        return value
-
-    def ir(self, node) -> V:
-        """Evaluate a :class:`repro.ir.nodes.Node` against this candidate.
-
-        Convenience entry point into the unified IR engine; the result
-        is memoized in :attr:`_ir_memo` (keyed by node id) with the
-        node's ``txn_free`` flag routed into the baseline-sharing
-        split, so every model sweeping this candidate reads one
-        computation per shared node.
-        """
-        from ..ir.eval import evaluate
-
-        return evaluate(node, self)
+    @property
+    def n(self) -> int:
+        """Number of events."""
+        return self.x.n
 
     # ------------------------------------------------------------------
     # The tm=False view
@@ -177,10 +86,7 @@ class CandidateAnalysis:
         ``stxnat``, ``tfence``, and the transactional event sets while
         sharing every transaction-independent value with the parent.
         """
-        parent = self._parent
-        if parent is not None:
-            return self
-        if not self.x.txns:
+        if self._parent is not None or not self.x.txns:
             return self
         if self._baseline is None:
             self._baseline = CandidateAnalysis(self.x, _parent=self)
@@ -191,7 +97,9 @@ class CandidateAnalysis:
         """The underlying execution (transaction-stripped for baselines)."""
         if self._parent is None:
             return self.x
-        return self.memo("baseline_execution", self.x.without_transactions)
+        if self._execution is None:
+            self._execution = self.x.without_transactions()
+        return self._execution
 
     # ------------------------------------------------------------------
     # Transaction structure (empty on the baseline view)
@@ -226,97 +134,8 @@ class CandidateAnalysis:
         """Events inside a successful *atomic* transaction (C++)."""
         if self._parent is not None:
             return frozenset()
-        return self.memo(
-            "atomic_txn_events",
-            lambda: frozenset(
-                e for txn in self.x.txns if txn.atomic for e in txn.events
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Memoized helper constructors
-    # ------------------------------------------------------------------
-
-    def lift(self, events: Iterable[int]) -> Relation:
-        """Memoized ``[s]`` (identity restricted to ``events``)."""
-        key = events if isinstance(events, frozenset) else frozenset(events)
-        return self.memo(
-            ("lift", key),
-            lambda: Relation.lift(self.x.n, key),
-            txn_free=True,
-        )
-
-    def cross(self, sources: Iterable[int], targets: Iterable[int]) -> Relation:
-        """Memoized Cartesian product ``sources × targets``."""
-        skey = sources if isinstance(sources, frozenset) else frozenset(sources)
-        tkey = targets if isinstance(targets, frozenset) else frozenset(targets)
-        return self.memo(
-            ("cross", skey, tkey),
-            lambda: Relation.cross(self.x.n, skey, tkey),
-            txn_free=True,
-        )
-
-    def labelled(self, label: str) -> frozenset[int]:
-        """Memoized set of events carrying ``label``."""
-        return self.memo(
-            ("labelled", label),
-            lambda: self.x.with_label(label),
-            txn_free=True,
-        )
-
-    def fence_rel(self, kind: str) -> Relation:
-        """Memoized ``po; [F_kind]; po`` (the paper's footnote 1)."""
-        return self.memo(
-            ("fence_rel", kind),
-            lambda: self.x.fence_rel(kind),
-            txn_free=True,
-        )
-
-    def external(self, rel: Relation) -> Relation:
-        """``r^e = r \\ (po ∪ po⁻¹)*``."""
-        return rel - self.x.sthd
-
-    def internal(self, rel: Relation) -> Relation:
-        """``r^i = r ∩ (po ∪ po⁻¹)*``."""
-        return rel & self.x.sthd
-
-    @property
-    def ext(self) -> Relation:
-        """Different-thread pairs (the .cat primitive ``ext``)."""
-        return self.memo(
-            "ext",
-            lambda: Relation.full(self.x.n) - self.x.sthd,
-            txn_free=True,
-        )
-
-    # -- transaction lifting (section 3.3), memoized per operand --------
-
-    def stronglift(self, rel: Relation) -> Relation:
-        """Memoized ``stronglift(rel, stxn)``."""
-        return self.memo(
-            ("stronglift", rel), lambda: _stronglift(rel, self.stxn)
-        )
-
-    def weaklift(self, rel: Relation) -> Relation:
-        """Memoized ``weaklift(rel, stxn)``."""
-        return self.memo(("weaklift", rel), lambda: _weaklift(rel, self.stxn))
-
-    # -- axioms shared verbatim by every architecture model --------------
-
-    @property
-    def coherence(self) -> Relation:
-        """``po_loc ∪ com`` — the Coherence axiom's operand."""
-        return self.memo(
-            "coherence", lambda: self.x.po_loc | self.x.com, txn_free=True
-        )
-
-    @property
-    def rmw_isol(self) -> Relation:
-        """``rmw ∩ (fre ; coe)`` — the RMWIsol axiom's operand."""
-        return self.memo(
-            "rmw_isol",
-            lambda: self.x.rmw_rel & (self.x.fre @ self.x.coe),
-            txn_free=True,
+        return frozenset(
+            e for txn in self.x.txns if txn.atomic for e in txn.events
         )
 
     def __repr__(self) -> str:
@@ -324,25 +143,11 @@ class CandidateAnalysis:
         return f"<CandidateAnalysis{tag} of {self.x!r}>"
 
 
-def _make_delegate(name: str):
-    def getter(self: CandidateAnalysis):
-        return getattr(self.x, name)
-
-    getter.__name__ = name
-    getter.__doc__ = f"Delegates to ``Execution.{name}`` (shared cache)."
-    return property(getter)
-
-
-for _name in _DELEGATED:
-    setattr(CandidateAnalysis, _name, _make_delegate(_name))
-del _name
-
-
 def analyze(x: "Execution | CandidateAnalysis") -> CandidateAnalysis:
     """Coerce ``x`` to its shared :class:`CandidateAnalysis`.
 
     Model code calls this first, so every public model entry point
-    accepts either a raw execution (back-compat: tests, the metatheory,
-    the synthesizer) or an analysis (the checking pipeline).
+    accepts either a raw execution (tests, the metatheory, the
+    synthesizer) or an analysis (the checking pipeline).
     """
     return CandidateAnalysis.of(x)

@@ -151,10 +151,6 @@ class Execution:
                     seen[loc] = None
         return tuple(seen)
 
-    def writes_to(self, loc: str) -> tuple[int, ...]:
-        """The coherence order for ``loc`` (empty if no writes)."""
-        return self.co.get(loc, ())
-
     @cached_property
     def txn_of(self) -> dict[int, int]:
         """Map each transactional event id to its transaction's index."""

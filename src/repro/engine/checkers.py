@@ -117,8 +117,9 @@ class ModelChecker(Checker):
     Checkers of one campaign share one
     :class:`~repro.core.analysis.CandidateAnalysis` per candidate: work
     is grouped by test, the memoized candidate streams hand every
-    checker the *same* ``Execution`` objects, and each model reads its
-    base relations off the analysis attached to them.  Models declaring
+    checker the *same* ``Execution`` objects, and each model evaluates
+    its IR nodes through the memo of the analysis attached to them.
+    Models declaring
     :attr:`~repro.models.base.MemoryModel.enforces_coherence` further
     skip (or never expand) candidates violating per-location coherence.
     """

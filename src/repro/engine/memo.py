@@ -96,7 +96,3 @@ class MemoModel(MemoryModel):
         if key is not None:
             self.cache.put(key, {"verdict": verdict, "model": self.spec})
         return verdict
-
-    @property
-    def memo_size(self) -> int:
-        return len(self._memo)

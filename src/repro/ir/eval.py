@@ -3,16 +3,23 @@
 :func:`evaluate` maps an interned IR :class:`~repro.ir.nodes.Node` plus a
 shared :class:`~repro.core.analysis.CandidateAnalysis` to a concrete
 :class:`~repro.core.relation.Relation` (or ``frozenset`` for set-valued
-nodes).  Results are memoized **per (analysis, node)** through the
-analysis's generic :meth:`~repro.core.analysis.CandidateAnalysis.memo`
-hook, with the node's ``txn_free`` flag routed into the memo's
-transaction-independence split — so:
+nodes).  Results are memoized **per (analysis, node)** in the
+analysis's IR memo, keyed by node id, with the node's ``txn_free`` flag
+routing a baseline view's transaction-independent values to its
+parent's memo — so:
 
 * when a campaign sweeps eight models over one candidate, every node the
   models share (and hash-consing makes them share aggressively) is
   computed exactly once;
 * a ``tm=False`` baseline sweep shares every transaction-independent
   value with the ``tm=True`` sweep of the same candidate.
+
+Base relations and event sets are read off the candidate's
+:class:`~repro.core.execution.Execution` (``a.x``); only the
+transactional ones (``stxn``, ``stxnat``, ``tfence``, ``TXN``,
+``TXNAT``) come from the analysis, which erases them on a baseline
+view.  Lifts, products and the §3.3 liftings are computed directly with
+:class:`~repro.core.relation.Relation` and :mod:`repro.core.lifting`.
 
 Fixpoint nodes (the lowering of ``.cat``'s ``let rec``) are evaluated by
 simultaneous Kleene iteration from the empty relations; all components
@@ -21,8 +28,8 @@ are resolved against an explicit environment and never memoized.
 
 A small *shortcut table* maps a handful of prelude nodes (``rfe``,
 ``po_loc``, ``com``, the fence relations, ...) straight onto the cached
-properties of the analysis/execution, so the IR path reuses the values
-every other subsystem already computed rather than re-deriving them.
+properties of the execution, so the IR path reuses the values every
+other subsystem already computed rather than re-deriving them.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from typing import Callable
 
 from ..core.analysis import CandidateAnalysis
 from ..core.events import Label
+from ..core.lifting import stronglift, weaklift
 from ..core.relation import Relation
 from .nodes import Node
 
@@ -85,7 +93,7 @@ _SHORTCUTS: dict[int, Callable[[CandidateAnalysis], object]] = {}
 def register_shortcut(
     node: Node, getter: Callable[[CandidateAnalysis], object]
 ) -> Node:
-    """Route ``node`` to a cached analysis value instead of recomputing.
+    """Route ``node`` to a cached execution value instead of recomputing.
 
     The getter must be extensionally equal to the structural evaluation
     of the node; ``tests/test_ir.py`` cross-checks every registered
@@ -118,17 +126,17 @@ _LABEL_FOR_SET = {
 }
 
 _BASE_RELATION = {
-    "po": lambda a: a.po,
-    "rf": lambda a: a.rf_rel,
-    "co": lambda a: a.co_rel,
-    "fr": lambda a: a.fr,
-    "loc": lambda a: a.sloc,
-    "int": lambda a: a.sthd,
-    "ext": lambda a: a.ext,
-    "addr": lambda a: a.addr_rel,
-    "data": lambda a: a.data_rel,
-    "ctrl": lambda a: a.ctrl_rel,
-    "rmw": lambda a: a.rmw_rel,
+    "po": lambda a: a.x.po,
+    "rf": lambda a: a.x.rf_rel,
+    "co": lambda a: a.x.co_rel,
+    "fr": lambda a: a.x.fr,
+    "loc": lambda a: a.x.sloc,
+    "int": lambda a: a.x.sthd,
+    "ext": lambda a: Relation.full(a.n) - a.x.sthd,
+    "addr": lambda a: a.x.addr_rel,
+    "data": lambda a: a.x.data_rel,
+    "ctrl": lambda a: a.x.ctrl_rel,
+    "rmw": lambda a: a.x.rmw_rel,
     "stxn": lambda a: a.stxn,
     "stxnat": lambda a: a.stxnat,
     "tfence": lambda a: a.tfence,
@@ -137,11 +145,11 @@ _BASE_RELATION = {
 
 _BASE_SET = {
     "_": lambda a: frozenset(range(a.n)),
-    "R": lambda a: a.reads,
-    "W": lambda a: a.writes,
-    "F": lambda a: a.fences,
-    "M": lambda a: a.accesses,
-    "CALL": lambda a: a.calls,
+    "R": lambda a: a.x.reads,
+    "W": lambda a: a.x.writes,
+    "F": lambda a: a.x.fences,
+    "M": lambda a: a.x.accesses,
+    "CALL": lambda a: a.x.calls,
     "TXN": lambda a: a.txn_events,
     "TXNAT": lambda a: a.atomic_txn_events,
 }
@@ -167,12 +175,11 @@ def evaluate(
 def _eval(node: Node, a: CandidateAnalysis, env):
     """The memoized recursion (``a`` is already an analysis).
 
-    Closed nodes are memoized in the analysis's dedicated
-    ``_ir_memo`` dict, keyed by node id; txn-free nodes evaluated on a
-    baseline view store on the *parent* analysis, so the ``tm=True``
-    and ``tm=False`` sweeps of one candidate share them (the same split
-    :meth:`CandidateAnalysis.memo` implements, without its generic-key
-    overhead — this is the hottest loop in a campaign).
+    Closed nodes are memoized in the analysis's ``_ir_memo`` dict,
+    keyed by node id; txn-free nodes evaluated on a baseline view store
+    on the *parent* analysis, so the ``tm=True`` and ``tm=False`` sweeps
+    of one candidate share them (this is the hottest loop in a
+    campaign).
     """
     if node.free_vars:
         if env is None:
@@ -201,10 +208,6 @@ def _eval(node: Node, a: CandidateAnalysis, env):
 _MISSING = object()
 
 
-def _eval_args(node: Node, a: CandidateAnalysis, env):
-    return [_eval(arg, a, env) for arg in node.args]
-
-
 def _compute(node: Node, a: CandidateAnalysis, env):
     STATS.computes += 1
     shortcut = _SHORTCUTS.get(node.id)
@@ -221,7 +224,7 @@ def _c_set(node, a, env):
     getter = _BASE_SET.get(node.token)
     if getter is not None:
         return getter(a)
-    return a.labelled(_LABEL_FOR_SET[node.token])
+    return a.x.with_label(_LABEL_FOR_SET[node.token])
 
 
 def _c_union(node, a, env):
@@ -275,17 +278,19 @@ _DISPATCH = {
     "opt": lambda node, a, env: _eval(node.args[0], a, env).opt(),
     "plus": lambda node, a, env: _eval(node.args[0], a, env).plus(),
     "star": lambda node, a, env: _eval(node.args[0], a, env).star(),
-    "lift": lambda node, a, env: a.lift(_eval(node.args[0], a, env)),
-    "cross": lambda node, a, env: a.cross(
-        _eval(node.args[0], a, env), _eval(node.args[1], a, env)
+    "lift": lambda node, a, env: Relation.lift(
+        a.n, _eval(node.args[0], a, env)
+    ),
+    "cross": lambda node, a, env: Relation.cross(
+        a.n, _eval(node.args[0], a, env), _eval(node.args[1], a, env)
     ),
     "domain": lambda node, a, env: _eval(node.args[0], a, env).domain(),
     "range": lambda node, a, env: _eval(node.args[0], a, env).codomain(),
-    "stronglift": lambda node, a, env: a.stronglift(
-        _eval(node.args[0], a, env)
+    "stronglift": lambda node, a, env: stronglift(
+        _eval(node.args[0], a, env), a.stxn
     ),
-    "weaklift": lambda node, a, env: a.weaklift(
-        _eval(node.args[0], a, env)
+    "weaklift": lambda node, a, env: weaklift(
+        _eval(node.args[0], a, env), a.stxn
     ),
 }
 

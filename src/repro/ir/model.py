@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from ..core.analysis import analyze
 from ..obs import trace
 from ..models.base import Axiom, MemoryModel
 from .eval import axiom_holds, evaluate
@@ -55,9 +56,6 @@ class IRAxiom:
             raise ValueError(
                 f"axiom {self.name!r} operand must be a closed relation node"
             )
-
-    def holds_on(self, a) -> bool:
-        return axiom_holds(self.kind, self.node, a)
 
 
 @dataclass(frozen=True)
@@ -139,19 +137,13 @@ class IRModel(MemoryModel):
     # -- the MemoryModel surface, driven by the definition ---------------
 
     def relations(self, x):
+        # ``check`` hands over the analysis ``tm`` already selected.
         definition = self.definition()
-        a = self._relations_analysis(x)
+        a = analyze(x)
         out = {ax.key: evaluate(ax.node, a) for ax in definition.axioms}
         for key, node in definition.extras:
             out[key] = evaluate(node, a)
         return out
-
-    def _relations_analysis(self, x):
-        """``relations()`` historically receives the already-selected
-        analysis from ``check``; coerce without re-applying ``tm``."""
-        from ..core.analysis import analyze
-
-        return analyze(x)
 
     def axioms(self) -> tuple[Axiom, ...]:
         return tuple(

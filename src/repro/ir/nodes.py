@@ -316,11 +316,6 @@ def _make(kind: str, token: object, args: tuple[Node, ...]) -> Node:
         return node
 
 
-def intern_count() -> int:
-    """Number of live interned nodes (for stats/tests)."""
-    return len(_INTERN)
-
-
 # ----------------------------------------------------------------------
 # Leaves
 # ----------------------------------------------------------------------

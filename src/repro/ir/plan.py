@@ -35,7 +35,6 @@ scalar fallback for small stacks and unbuildable kernels.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from itertools import combinations
 
 from ..core.events import EventKind
@@ -347,28 +346,19 @@ class BatchPlan:
         self.segments = tuple(segments)
 
 
-#: How many ``(definition_token, n)`` entries :data:`_PLANS` and the
-#: kernel cache (:data:`repro.ir.codegen._COMPILED`) each keep, least
-#: recently used evicted first, so a long-lived pool worker that keeps
-#: meeting new ``.cat`` definitions stays bounded.  An evicted entry is
-#: rebuilt on its next use.  A perfbench workload uses at most 32.
+#: How many ``(definition_token, n)`` kernels the kernel cache
+#: (:data:`repro.ir.codegen._COMPILED`) keeps, least recently used
+#: evicted first, so a long-lived pool worker that keeps meeting new
+#: ``.cat`` definitions stays bounded.  An evicted kernel is rebuilt on
+#: its next use.  A perfbench workload uses at most 32.
 KERNEL_CACHE_SIZE = 256
-
-#: ``(definition_token, n) -> BatchPlan``, least recently used first.
-_PLANS: OrderedDict[tuple[str, int], BatchPlan] = OrderedDict()
 
 
 def plan_for(token: str, definition, n: int) -> BatchPlan:
-    """The cached plan for ``definition`` at universe size ``n``."""
-    key = (token, n)
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _PLANS[key] = BatchPlan(definition, n)
-        while len(_PLANS) > KERNEL_CACHE_SIZE:
-            _PLANS.popitem(last=False)
-    else:
-        _PLANS.move_to_end(key)
-    return plan
+    """The plan for ``definition`` (named by ``token``) at universe
+    size ``n``, built once per kernel build: the kernel cache keeps the
+    kernel, not the plan."""
+    return BatchPlan(definition, n)
 
 
 # ----------------------------------------------------------------------

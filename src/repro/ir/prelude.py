@@ -6,8 +6,8 @@ stdlib definitions — that identity is what makes cross-family sharing
 (native x86 and ``x86tm.cat`` in one campaign) free.
 
 Most constants are also registered as evaluator *shortcuts* onto the
-corresponding cached property of the candidate analysis, so evaluating
-e.g. ``rfe`` reads ``Execution.rfe`` instead of recomputing ``rf & ext``
+corresponding cached property of the execution, so evaluating e.g.
+``rfe`` reads ``Execution.rfe`` instead of recomputing ``rf & ext``
 (the two are extensionally equal; ``tests/test_ir.py`` asserts it).
 """
 
@@ -79,34 +79,34 @@ M = N.bset("M")
 
 # -- external/internal restrictions (r^e and r^i in the paper) ----------
 
-rfe = register_shortcut(rf & ext, lambda a: a.rfe)
-rfi = register_shortcut(rf & int_, lambda a: a.rfi)
-coe = register_shortcut(co & ext, lambda a: a.coe)
-coi = register_shortcut(co & int_, lambda a: a.coi)
-fre = register_shortcut(fr & ext, lambda a: a.fre)
-fri = register_shortcut(fr & int_, lambda a: a.fri)
+rfe = register_shortcut(rf & ext, lambda a: a.x.rfe)
+rfi = register_shortcut(rf & int_, lambda a: a.x.rfi)
+coe = register_shortcut(co & ext, lambda a: a.x.coe)
+coi = register_shortcut(co & int_, lambda a: a.x.coi)
+fre = register_shortcut(fr & ext, lambda a: a.x.fre)
+fri = register_shortcut(fr & int_, lambda a: a.x.fri)
 
 # -- communication (section 2.1) ----------------------------------------
 
-com = register_shortcut(rf | co | fr, lambda a: a.com)
-come = register_shortcut(com & ext, lambda a: a.come)
+com = register_shortcut(rf | co | fr, lambda a: a.x.com)
+come = register_shortcut(com & ext, lambda a: a.x.come)
 comi = com & int_
 
 # -- same-location program order and the shared axiom operands ----------
 
-po_loc = register_shortcut(po & loc, lambda a: a.po_loc)
-coherence = register_shortcut(po_loc | com, lambda a: a.coherence)
-rmw_isol = register_shortcut(rmw & (fre @ coe), lambda a: a.rmw_isol)
+po_loc = register_shortcut(po & loc, lambda a: a.x.po_loc)
+coherence = po_loc | com
+rmw_isol = rmw & (fre @ coe)
 
 
 def fencerel(set_name: str) -> Node:
-    """``po ; [f ∩ F] ; po`` (footnote 1), shortcut onto the analysis's
-    memoized fence relation."""
+    """``po ; [f ∩ F] ; po`` (footnote 1), shortcut onto
+    :meth:`~repro.core.execution.Execution.fence_rel`."""
     from .eval import _LABEL_FOR_SET
 
     node = N.comp(po, N.lift(N.sinter(N.bset(set_name), F)), po)
     label = _LABEL_FOR_SET[set_name]
-    return register_shortcut(node, lambda a: a.fence_rel(label))
+    return register_shortcut(node, lambda a: a.x.fence_rel(label))
 
 
 def weaklift(rel: Node) -> Node:

@@ -161,10 +161,11 @@ class MemoryModel:
     def relations(self, x: "Execution | CandidateAnalysis") -> DerivedRelations:
         """Compute the model's derived relations for ``x``.
 
-        Implementations start with ``a = analyze(x)`` and read every
-        base relation off the shared :class:`CandidateAnalysis`, so one
-        candidate checked by many models derives ``po``/``fr``/``ppo``/…
-        exactly once.
+        IR models evaluate their axiom nodes on ``analyze(x)``, whose
+        IR memo computes each node once per candidate however many
+        models check it.  A model written as Python relations reads
+        ``analyze(x).execution`` (the transaction-stripped execution
+        on a ``tm=False`` baseline view).
         """
         raise NotImplementedError
 
@@ -173,9 +174,6 @@ class MemoryModel:
         raise NotImplementedError
 
     # -- shared machinery ----------------------------------------------
-
-    def _effective(self, x: Execution) -> Execution:
-        return x if self.tm else x.without_transactions()
 
     def _analysis(self, x: "Execution | CandidateAnalysis") -> CandidateAnalysis:
         """The analysis this model evaluates against: the candidate's

@@ -19,13 +19,13 @@ Race freedom (NoRace) is deliberately *not* part of the consistency
 axioms: it is a predicate on whole programs.  Use :meth:`Cpp.race_free`.
 
 Declared as IR expressions; the event-set helpers (``atomic_events``
-etc.) keep their analysis-memoized Python forms for the metatheory.
+etc.) evaluate the set nodes the definition is built from, for the
+metatheory.
 """
 
 from __future__ import annotations
 
 from ..core.analysis import analyze
-from ..core.events import Label
 from ..core.relation import Relation
 from ..ir import nodes as N
 from ..ir import prelude as P
@@ -35,62 +35,10 @@ from ..ir.nodes import Node
 
 __all__ = ["Cpp", "acquire_events", "release_events", "sc_events", "atomic_events"]
 
-_ACQ_MODES = frozenset({Label.ACQ, Label.ACQ_REL, Label.SC})
-_REL_MODES = frozenset({Label.REL, Label.ACQ_REL, Label.SC})
 
-
-def atomic_events(x) -> frozenset[int]:
-    """``Ato``: accesses from atomic operations."""
-    a = analyze(x)
-    return a.memo(
-        "cpp.ato",
-        lambda: a.labelled(Label.ATO) & a.accesses,
-        txn_free=True,
-    )
-
-
-def acquire_events(x) -> frozenset[int]:
-    """Events with acquire semantics: acq/acq_rel/sc reads and fences."""
-    a = analyze(x)
-
-    def compute() -> frozenset[int]:
-        return frozenset(
-            i
-            for i, e in enumerate(a.events)
-            if e.mode in _ACQ_MODES and (e.is_read or e.is_fence)
-        )
-
-    return a.memo("cpp.acq", compute, txn_free=True)
-
-
-def release_events(x) -> frozenset[int]:
-    """Events with release semantics: rel/acq_rel/sc writes and fences."""
-    a = analyze(x)
-
-    def compute() -> frozenset[int]:
-        return frozenset(
-            i
-            for i, e in enumerate(a.events)
-            if e.mode in _REL_MODES and (e.is_write or e.is_fence)
-        )
-
-    return a.memo("cpp.rel", compute, txn_free=True)
-
-
-def sc_events(x) -> frozenset[int]:
-    """``SC``: events with memory order seq_cst."""
-    a = analyze(x)
-    return a.memo(
-        "cpp.sc",
-        lambda: frozenset(
-            i for i, e in enumerate(a.events) if e.mode == Label.SC
-        ),
-        txn_free=True,
-    )
-
-
-def _build() -> tuple[IRDefinition, Node, Node]:
-    """The RC11+TM definition plus the ``cnf``/``race`` nodes."""
+def _build() -> tuple[IRDefinition, Node, Node, Node, Node, Node, Node]:
+    """The RC11+TM definition, the ``cnf``/``race`` nodes, and the
+    ``Ato``/acquire/release/``SC`` event-set nodes."""
     ato = N.sinter(N.bset("ATO"), P.M)
     acq_evts = N.sinter(
         N.sunion(N.bset("ACQ"), N.bset("ACQREL"), N.bset("SC")),
@@ -164,10 +112,30 @@ def _build() -> tuple[IRDefinition, Node, Node]:
         P.id_,
     )
     race = N.diff(N.diff(cnf, N.cross(ato, ato)), hb | hb.inverse())
-    return definition, cnf, race
+    return definition, cnf, race, ato, acq_evts, rel_evts, sc_all
 
 
-_DEFINITION, _CNF, _RACE = _build()
+_DEFINITION, _CNF, _RACE, _ATO, _ACQ, _REL, _SC = _build()
+
+
+def atomic_events(x) -> frozenset[int]:
+    """``Ato``: accesses from atomic operations."""
+    return evaluate(_ATO, x)
+
+
+def acquire_events(x) -> frozenset[int]:
+    """Events with acquire semantics: acq/acq_rel/sc reads and fences."""
+    return evaluate(_ACQ, x)
+
+
+def release_events(x) -> frozenset[int]:
+    """Events with release semantics: rel/acq_rel/sc writes and fences."""
+    return evaluate(_REL, x)
+
+
+def sc_events(x) -> frozenset[int]:
+    """``SC``: events with memory order seq_cst."""
+    return evaluate(_SC, x)
 
 
 class Cpp(IRModel):

@@ -3,8 +3,8 @@
 The subsystem has four layers, all off by default behind one switch:
 
 * :mod:`~repro.obs.trace` — hierarchical spans with self-time
-  attribution over the pipeline stages (expansion / analysis / axioms /
-  cache) plus per-cell spans, an in-memory ring buffer, and optional
+  attribution over the pipeline stages (expansion / axioms / cache)
+  plus per-cell spans, an in-memory ring buffer, and optional
   schema-versioned JSONL trace sidecars;
 * :mod:`~repro.obs.metrics` — mergeable counters, gauges, and
   geometric-bucket histograms (per-model cell-latency percentiles);

@@ -1,7 +1,8 @@
 """Structured span tracing for the checking pipeline.
 
-The tracer turns four fixed stage timers (``repro campaign
---profile``) into hierarchical *spans*:
+The tracer turns the fixed stage timers of ``repro campaign
+--profile`` (``expansion``, ``axioms``, ``cache``) into hierarchical
+*spans*:
 
 * every span has a name, optional attributes (``item``, ``model``,
   ``token`` on the engine's per-cell spans), a wall-clock start, a total
@@ -179,10 +180,6 @@ class Tracer:
             self._sink_handle.close()
             self._sink_handle = None
 
-    @property
-    def sink_path(self) -> "Path | None":
-        return self._sink_path
-
     # -- serialization ---------------------------------------------------
 
     def snapshot(self, spans: bool = True) -> dict:
@@ -227,7 +224,7 @@ class Tracer:
         byte-compatible with the old profiler's ``--profile`` output."""
         total = sum(self.seconds.values())
         lines = ["stage        seconds     calls   share", "-" * 39]
-        order = ("expansion", "analysis", "axioms", "cache")
+        order = ("expansion", "axioms", "cache")
         names = [n for n in order if n in self.seconds] + sorted(
             set(self.seconds) - set(order)
         )

@@ -7,7 +7,7 @@ stays on the service's scheduler thread and its worker pool.
 
 Endpoints (all JSON unless noted)::
 
-    GET  /v1/healthz              liveness + queue depth
+    GET  /v1/healthz              liveness + job counts
     GET  /v1/metrics              service metrics (Prometheus text)
     POST /v1/jobs                 submit a JobSpec -> job record
     GET  /v1/jobs                 list job records
@@ -17,6 +17,11 @@ Endpoints (all JSON unless noted)::
 
 Every response body is an envelope ``{"protocol": 1, ...}``; errors
 are ``{"protocol": 1, "error": "..."}`` with a 4xx/5xx status.
+
+Each read from a client waits at most :data:`READ_TIMEOUT` seconds: a
+request body that stops arriving before its ``Content-Length`` is
+answered with a 408 and the connection is closed, and an idle
+keep-alive connection is closed, so no client can pin a handler thread.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ __all__ = ["ServiceServer", "serve_forever"]
 #: carries paths, not file contents — legitimate specs are tiny).
 MAX_BODY = 1 << 20
 
+#: Seconds one read from a client's socket may wait.  It bounds each
+#: read, not the request: a client that sends its request at once never
+#: meets it.
+READ_TIMEOUT = 10.0
+
 
 class _Handler(BaseHTTPRequestHandler):
     """One request; the service rides on the server object."""
@@ -44,6 +54,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------
 
+    def setup(self) -> None:
+        # Read here, not at class definition, so tests can shorten it.
+        self.timeout = READ_TIMEOUT
+        super().setup()
+
     @property
     def service(self) -> CampaignService:
         return self.server.service  # type: ignore[attr-defined]
@@ -52,13 +67,15 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:  # type: ignore[attr-defined]
             super().log_message(format, *args)
 
-    def _send(self, status: int, payload: dict) -> None:
+    def _send(self, status: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(
             {"protocol": PROTOCOL_VERSION, **payload}, sort_keys=True
         ).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:  # also ends this connection's request loop
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -98,20 +115,7 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
         try:
             if parts == ["v1", "healthz"]:
-                jobs = self.service.list_jobs()
-                self._send(
-                    200,
-                    {
-                        "ok": True,
-                        "jobs": len(jobs),
-                        "queued": sum(
-                            1 for j in jobs if j["state"] == "queued"
-                        ),
-                        "running": sum(
-                            1 for j in jobs if j["state"] == "running"
-                        ),
-                    },
-                )
+                self._send(200, {"ok": True, **self.service.job_counts()})
             elif parts == ["v1", "metrics"]:
                 self._send_text(200, self.service.metrics.render_text())
             elif parts == ["v1", "jobs"]:
@@ -172,6 +176,11 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(404, f"no route POST {url.path}")
         except BrokenPipeError:
             pass
+        except TimeoutError:  # the body stopped arriving
+            try:
+                self._send(408, {"error": "request body timed out"}, close=True)
+            except OSError:
+                self.close_connection = True
         except Exception as exc:
             try:
                 self._error(500, f"{type(exc).__name__}: {exc}")

@@ -28,6 +28,11 @@ telemetry bundle stays unambiguous.  Within a job:
 * on completion the job writes a run manifest (keyed by the job id)
   with verdict/cache/stage/latency aggregates.
 
+Finished jobs are kept for polling until the cells they hold together
+pass :data:`FINISHED_JOB_CELLS`; then the oldest finished jobs are
+dropped (queued and running jobs never are), so a long-running service
+stays bounded.  A dropped job is unknown to every endpoint.
+
 Work an earlier job already did is not redone.  Pooled jobs share the
 process's warm worker pool (:mod:`repro.engine.pool`), which the
 scheduler thread shuts down, joining its workers, when it ends.  A
@@ -46,7 +51,7 @@ import hashlib
 import queue
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 
 from ..engine import batchsweep
 from ..engine import pool as engine_pool
@@ -69,12 +74,17 @@ from .protocol import JobSpec, SpecError, suite_items
 # they retire.
 from ..engine.cache import cache_key  # noqa: F401
 
-__all__ = ["Job", "CampaignService", "SUITE_MEMO_ITEMS"]
+__all__ = ["Job", "CampaignService", "FINISHED_JOB_CELLS", "SUITE_MEMO_ITEMS"]
 
 #: The most items the files-suite memo of one service holds.  The four
 #: corpus directories perfbench's serve workload submits hold 218
 #: tests, and a parsed test takes about 3 kB.
 SUITE_MEMO_ITEMS = 2048
+
+#: The most cells the finished jobs of one service hold together before
+#: the oldest finished jobs are dropped; a retained cell takes about
+#: 330 B, so this is about 66 MB.
+FINISHED_JOB_CELLS = 200_000
 
 
 def _run_shard(shard):
@@ -236,8 +246,11 @@ class CampaignService:
         self.metrics = obs_metrics.MetricsRegistry()
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
+        #: Every retained job, in submission order.
         self._jobs: dict[str, Job] = {}
-        self._order: list[str] = []
+        #: Finished job ids, oldest first, and the cells they hold.
+        self._finished: deque[str] = deque()
+        self._finished_cells = 0
         self._seq = 0
         self._thread: threading.Thread | None = None
         self._stopping = False
@@ -288,7 +301,6 @@ class CampaignService:
             self._seq += 1
             job = Job(f"j{self._seq:04d}", spec)
             self._jobs[job.id] = job
-            self._order.append(job.id)
         self.metrics.counter("jobs_submitted").inc()
         self._queue.put(job.id)
         return job
@@ -299,7 +311,18 @@ class CampaignService:
 
     def list_jobs(self) -> list[dict]:
         with self._lock:
-            return [self._jobs[jid].summary() for jid in self._order]
+            return [job.summary() for job in self._jobs.values()]
+
+    def job_counts(self) -> dict:
+        """``jobs`` retained, and how many of them are ``queued`` and
+        ``running`` (the health check)."""
+        with self._lock:
+            states = [job.state for job in self._jobs.values()]
+        return {
+            "jobs": len(states),
+            "queued": states.count("queued"),
+            "running": states.count("running"),
+        }
 
     def cells_since(self, job_id: str, since: int) -> "dict | None":
         """The poll payload: cells past the cursor plus the job state."""
@@ -340,7 +363,21 @@ class CampaignService:
             job.state = "failed"
             job.error = message
             job.finished = time.time()
+            self._retire(job)
         self.metrics.counter("jobs_failed").inc()
+
+    def _retire(self, job: Job) -> None:
+        """Count ``job`` among the finished jobs, then drop the oldest
+        other finished jobs while they all hold more than
+        :data:`FINISHED_JOB_CELLS` cells.  The caller holds the lock."""
+        self._finished.append(job.id)
+        self._finished_cells += len(job.cells)
+        while (
+            self._finished_cells > FINISHED_JOB_CELLS
+            and self._finished[0] != job.id
+        ):
+            dropped = self._jobs.pop(self._finished.popleft())
+            self._finished_cells -= len(dropped.cells)
 
     def _deliver(
         self,
@@ -499,6 +536,7 @@ class CampaignService:
             job.finished = time.time()
             job.diffs = diffs
             job.manifest_path = manifest_path
+            self._retire(job)
         self.metrics.counter("cells_cached_served").inc(job.cached_cells)
         self.metrics.counter("cells_computed").inc(job.computed_cells)
         self.metrics.counter("cells_poisoned").inc(job.poisoned_cells)

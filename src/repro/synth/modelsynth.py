@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..core.events import Label
+from ..core.analysis import CandidateAnalysis, analyze
 from ..core.execution import Execution
 from ..core.lifting import stronglift
 from ..core.relation import Relation
@@ -112,7 +112,10 @@ class SketchModel(MemoryModel):
         hb = ppo⟨holes⟩ ∪ deps⟨holes⟩ ∪ fences⟨holes⟩
            ∪ rfe ∪ coe ∪ fre [∪ tfence]
 
-    and the TM holes switch the paper's transactional axioms on.
+    and the TM holes switch the paper's transactional axioms on.  The
+    relations are read off the execution the model checks
+    (:attr:`~repro.core.analysis.CandidateAnalysis.execution`: the
+    transaction-stripped one when ``tm=False``).
     """
 
     def __init__(self, params: ModelParams, tm: bool = True) -> None:
@@ -120,7 +123,8 @@ class SketchModel(MemoryModel):
         self.params = params
         self.arch = f"sketch({params.describe()})"
 
-    def relations(self, x: Execution) -> DerivedRelations:
+    def relations(self, x: "Execution | CandidateAnalysis") -> DerivedRelations:
+        x = analyze(x).execution
         n = x.n
         p = self.params
         kind_sets = {"W": x.writes, "R": x.reads}

@@ -1,4 +1,5 @@
-"""Unit tests for the shared candidate-analysis layer."""
+"""Unit tests for the per-candidate analysis and the IR values read
+through it."""
 
 import pytest
 
@@ -7,6 +8,9 @@ from repro.core.builder import ExecutionBuilder
 from repro.core.events import Label
 from repro.core.lifting import stronglift, weaklift
 from repro.core.relation import Relation
+from repro.ir import nodes as N
+from repro.ir import prelude as P
+from repro.ir.eval import evaluate
 from repro.models.registry import get_model, model_names
 from repro.obs import telemetry, trace
 
@@ -42,49 +46,37 @@ class TestSharing:
         assert analyze(a) is a
 
     def test_delegated_relations_match_execution(self):
+        """The base and shortcut nodes evaluate to the execution's own
+        cached relations and event sets."""
         x = txn_execution()
         a = analyze(x)
-        for name in ("po", "fr", "com", "sloc", "sthd", "po_loc", "rfe",
-                     "coe", "fre", "come", "stxn", "stxnat", "tfence"):
-            assert getattr(a, name) == getattr(x, name), name
-        assert a.reads == x.reads
-        assert a.writes == x.writes
-        assert a.txn_events == x.txn_events
-
-    def test_helper_values_are_memoized(self):
-        a = analyze(plain_execution())
-        assert a.lift(a.writes) is a.lift(a.writes)
-        assert a.cross(a.reads, a.writes) is a.cross(a.reads, a.writes)
-        assert a.fence_rel(Label.MFENCE) is a.fence_rel(Label.MFENCE)
-        assert a.labelled(Label.MFENCE) is a.labelled(Label.MFENCE)
-        hb = a.po | a.com
-        assert a.stronglift(hb) is a.stronglift(hb)
+        nodes = {
+            "po": P.po, "fr": P.fr, "com": P.com, "sloc": P.loc,
+            "sthd": P.int_, "po_loc": P.po_loc, "rfe": P.rfe,
+            "coe": P.coe, "fre": P.fre, "come": P.come, "stxn": P.stxn,
+            "stxnat": P.stxnat, "tfence": P.tfence,
+        }
+        for name, node in nodes.items():
+            assert evaluate(node, a) == getattr(a.x, name), name
+        assert evaluate(P.R, a) == x.reads
+        assert evaluate(P.W, a) == x.writes
+        assert evaluate(N.bset("TXN"), a) == x.txn_events
 
     def test_helper_values_are_correct(self):
+        """Lifts, products, fence relations, the §3.3 liftings, ``ext``
+        and the shared axiom operands, evaluated as IR nodes."""
         x = txn_execution()
         a = analyze(x)
-        assert a.lift(x.writes) == Relation.lift(x.n, x.writes)
-        assert a.cross(x.reads, x.writes) == Relation.cross(
+        assert evaluate(N.lift(P.W), a) == Relation.lift(x.n, x.writes)
+        assert evaluate(N.cross(P.R, P.W), a) == Relation.cross(
             x.n, x.reads, x.writes
         )
-        assert a.fence_rel(Label.MFENCE) == x.fence_rel(Label.MFENCE)
-        assert a.stronglift(x.com) == stronglift(x.com, x.stxn)
-        assert a.weaklift(x.com) == weaklift(x.com, x.stxn)
-        assert a.ext == Relation.full(x.n) - x.sthd
-        assert a.coherence == (x.po_loc | x.com)
-        assert a.rmw_isol == (x.rmw_rel & (x.fre @ x.coe))
-
-    def test_generic_memo_computes_once(self):
-        a = analyze(plain_execution())
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return 42
-
-        assert a.memo("k", compute) == 42
-        assert a.memo("k", compute) == 42
-        assert len(calls) == 1
+        assert evaluate(P.fencerel("MFENCE"), a) == x.fence_rel(Label.MFENCE)
+        assert evaluate(P.stronglift(P.com), a) == stronglift(x.com, x.stxn)
+        assert evaluate(P.weaklift(P.com), a) == weaklift(x.com, x.stxn)
+        assert evaluate(P.ext, a) == Relation.full(x.n) - x.sthd
+        assert evaluate(P.coherence, a) == (x.po_loc | x.com)
+        assert evaluate(P.rmw_isol, a) == (x.rmw_rel & (x.fre @ x.coe))
 
 
 class TestBaseline:
@@ -108,23 +100,12 @@ class TestBaseline:
         x = txn_execution()
         b = analyze(x).baseline
         y = x.without_transactions()
-        assert b.po == y.po
-        assert b.fr == y.fr
-        assert b.stxn == y.stxn
-        assert b.tfence == y.tfence
+        assert evaluate(P.po, b) == y.po
+        assert evaluate(P.fr, b) == y.fr
+        assert evaluate(P.stxn, b) == y.stxn
+        assert evaluate(P.tfence, b) == y.tfence
         assert b.execution.signature() == y.signature()
-
-    def test_txn_free_memo_shared_with_parent(self):
-        x = txn_execution()
-        a = analyze(x)
-        b = a.baseline
-        v1 = b.memo("shared", lambda: object(), txn_free=True)
-        v2 = a.memo("shared", lambda: object(), txn_free=True)
-        assert v1 is v2
-        # ...but plain memo entries stay per-view.
-        p1 = a.memo("private", lambda: object())
-        p2 = b.memo("private", lambda: object())
-        assert p1 is not p2
+        assert b.execution is b.execution
 
     def test_models_agree_with_legacy_tm_false_path(self):
         x = txn_execution()
@@ -158,9 +139,6 @@ class TestModelEntryPoints:
     def test_cat_env_built_from_analysis(self):
         """Every primitive a ``.cat`` source can name evaluates the same
         from the execution and from its analysis, to the shared value."""
-        from repro.ir import nodes as N
-        from repro.ir.eval import evaluate
-
         x = txn_execution()
         a = analyze(x)
         primitives = [N.bset(name) for name in sorted(N.BASE_SETS)]
@@ -214,14 +192,14 @@ class TestProfiling:
         prof = telemetry.enable().tracer
         try:
             with trace.stage("axioms"):
-                with trace.stage("analysis"):
+                with trace.stage("expansion"):
                     pass
         finally:
             telemetry.disable()
-        assert set(prof.seconds) == {"axioms", "analysis"}
-        assert prof.calls == {"axioms": 1, "analysis": 1}
+        assert set(prof.seconds) == {"axioms", "expansion"}
+        assert prof.calls == {"axioms": 1, "expansion": 1}
         report = prof.report()
-        assert "axioms" in report and "analysis" in report
+        assert "axioms" in report and "expansion" in report
 
     def test_disabled_profiling_is_a_noop(self):
         assert trace.ACTIVE is None

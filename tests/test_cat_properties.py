@@ -5,7 +5,7 @@ over sets and relations.  Each expression is compiled
 (:func:`~repro.cat.compile.compile_model`) and its value taken by the
 scalar IR reference; that value must equal an independent fold of the
 expression over :class:`~repro.core.relation.Relation` and ``frozenset``
-operators on the candidate analysis, satisfy the relational-algebra
+operators on the execution, satisfy the relational-algebra
 laws, and agree with the native derived relations.
 """
 
@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 
 from repro.cat.compile import compile_model
 from repro.cat.parser import parse
-from repro.core.analysis import analyze
 from repro.core.builder import ExecutionBuilder
 from repro.core.relation import Relation
 from repro.ir.eval import evaluate
 
 #: Relation leaves usable in generated expressions, each with its value
-#: on the candidate analysis.
+#: on the execution.
 _RELATION_LEAVES = {
     "po": lambda a: a.po,
     "rf": lambda a: a.rf_rel,
@@ -94,7 +93,7 @@ def executions(draw):
 @st.composite
 def expressions(draw, depth: int = 3, kind: str = "rel"):
     """A random expression of ``kind`` (``"rel"`` or ``"set"``): its
-    source text and its fold, a function of the candidate analysis."""
+    source text and its fold, a function of the execution."""
     leaves = _RELATION_LEAVES if kind == "rel" else _SET_LEAVES
     if depth == 0 or draw(st.integers(min_value=0, max_value=2)) == 0:
         name = draw(st.sampled_from(sorted(leaves)))
@@ -154,7 +153,7 @@ class TestAlgebraicLaws:
         value = evaluate_expr(source, x)
         assert isinstance(value, Relation)
         assert value.n == x.n
-        assert value == fold(analyze(x)), source
+        assert value == fold(x), source
 
     @settings(max_examples=40, deadline=None)
     @given(x=executions(), data=st.data())

@@ -22,7 +22,6 @@ Every test here needs numpy and skips without it.
 """
 
 import pathlib
-from collections import OrderedDict
 
 import pytest
 
@@ -153,10 +152,9 @@ class TestGoldenCatalogCodegen:
 
 class TestBoundedKernelCaches:
     def test_caches_stay_at_the_cap(self, backend, cold_kernels, monkeypatch):
-        """Past the cap the least recently used plan and kernel go; an
-        evicted kernel is rebuilt and gives the same verdicts."""
+        """Past the cap the least recently used kernel goes; an evicted
+        kernel is rebuilt and gives the same verdicts."""
         monkeypatch.setattr(plan, "KERNEL_CACHE_SIZE", 3)
-        monkeypatch.setattr(plan, "_PLANS", OrderedDict())
         buckets = _catalog_buckets()
         sizes = sorted(buckets)[:3]
         models = [get_model(name) for name in ("x86", "sc")]
@@ -169,7 +167,6 @@ class TestBoundedKernelCaches:
                 )
         keys = list(first)  # 6 distinct (token, n), in compile order
         assert list(codegen._COMPILED) == keys[3:]
-        assert list(plan._PLANS) == keys[3:]
         # A hit makes an entry the most recently used.
         assert codegen.compiled_for(keys[3][0], None, keys[3][1])
         assert list(codegen._COMPILED) == [keys[4], keys[5], keys[3]]
@@ -180,7 +177,7 @@ class TestBoundedKernelCaches:
         again = _compiled_verdicts(model, model.batch_definition(), buckets[n])
         assert again == first[keys[0]]
         assert codegen.is_warm(token, n)
-        assert len(codegen._COMPILED) == len(plan._PLANS) == 3
+        assert len(codegen._COMPILED) == 3
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Per-model unit tests beyond the catalog expectations."""
 
+import itertools
+
 import pytest
 
+from repro.catalog import CATALOG
+from repro.core.analysis import analyze
 from repro.core.builder import ExecutionBuilder
 from repro.core.events import Label
 from repro.models.base import Axiom, Verdict
 from repro.models.cpp import Cpp, acquire_events, atomic_events, release_events, sc_events
 from repro.models.power import power_ppo
 from repro.models.registry import get_model, model_names
+from repro.synth.generate import EnumerationSpace, enumerate_executions
 
 
 class TestRegistry:
@@ -128,7 +133,70 @@ class TestPowerPpo:
         assert (r1, r2) in power_ppo(x)
 
 
+# The Python definitions of the C++ event sets that preceded the IR set
+# nodes, kept as the oracle for them: the expressions are verbatim, with
+# the analysis memo around each dropped (``a.labelled`` is
+# ``Execution.with_label``).
+_ORACLE_ACQ_MODES = frozenset({Label.ACQ, Label.ACQ_REL, Label.SC})
+_ORACLE_REL_MODES = frozenset({Label.REL, Label.ACQ_REL, Label.SC})
+
+
+def _oracle_atomic_events(a) -> frozenset[int]:
+    return a.with_label(Label.ATO) & a.accesses
+
+
+def _oracle_acquire_events(a) -> frozenset[int]:
+    return frozenset(
+        i
+        for i, e in enumerate(a.events)
+        if e.mode in _ORACLE_ACQ_MODES and (e.is_read or e.is_fence)
+    )
+
+
+def _oracle_release_events(a) -> frozenset[int]:
+    return frozenset(
+        i
+        for i, e in enumerate(a.events)
+        if e.mode in _ORACLE_REL_MODES and (e.is_write or e.is_fence)
+    )
+
+
+def _oracle_sc_events(a) -> frozenset[int]:
+    return frozenset(
+        i for i, e in enumerate(a.events) if e.mode == Label.SC
+    )
+
+
+_CPP_SETS = (
+    (atomic_events, _oracle_atomic_events),
+    (acquire_events, _oracle_acquire_events),
+    (release_events, _oracle_release_events),
+    (sc_events, _oracle_sc_events),
+)
+
+
 class TestCppSets:
+    def test_ir_sets_match_python_oracle(self):
+        """The IR-evaluated sets equal the Python definitions on every
+        three-event C++ execution and on the catalog, on both views."""
+        space = EnumerationSpace.for_arch("cpp", 3)
+        executions = itertools.chain(
+            enumerate_executions(space),
+            (entry.execution for entry in CATALOG.values()),
+        )
+        count = 0
+        nonempty = set()
+        for x in executions:
+            count += 1
+            for helper, oracle in _CPP_SETS:
+                want = oracle(x)
+                assert helper(x) == want, (helper.__name__, x.describe())
+                assert helper(analyze(x).baseline) == want, helper.__name__
+                if want:
+                    nonempty.add(helper.__name__)
+        assert count > 100_000
+        assert len(nonempty) == len(_CPP_SETS)
+
     def build(self):
         b = ExecutionBuilder()
         t0 = b.thread()

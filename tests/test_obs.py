@@ -101,7 +101,7 @@ class TestTracer:
         sink = tmp_path / "trace.jsonl"
         tracer = trace.Tracer(sink=sink)
         with tracer.span("expansion"):
-            with tracer.span("analysis"):
+            with tracer.span("axioms"):
                 pass
         tracer.close()
         lines = [
@@ -112,7 +112,7 @@ class TestTracer:
             "version": trace.TRACE_VERSION,
         }
         assert [rec["name"] for rec in lines[1:]] == [
-            "analysis",
+            "axioms",
             "expansion",
         ]
 

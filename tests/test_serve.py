@@ -6,8 +6,10 @@ import json
 import multiprocessing
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from repro.serve import (
     ServiceServer,
     SpecError,
 )
+from repro.serve import server as server_module
 from repro.serve import service as service_module
 from repro.serve.protocol import suite_items
 
@@ -1049,6 +1052,70 @@ class TestServiceHTTP:
             with pytest.raises(ServiceError) as excinfo:
                 client.job("j9999")
             assert excinfo.value.status == 404
+
+    def test_short_body_is_a_408_and_frees_its_thread(
+        self, tmp_path, monkeypatch
+    ):
+        """A body that stops arriving before its ``Content-Length`` gets
+        a 408 (or the connection closes) within the read timeout, its
+        handler thread ends, and the service keeps answering."""
+        monkeypatch.setattr(server_module, "READ_TIMEOUT", 0.5)
+        service = CampaignService(
+            cache=NullCache(), runs_dir=tmp_path / "runs"
+        )
+        with ServiceServer(service, port=0).start_background() as server:
+            before = set(threading.enumerate())
+            with socket.create_connection(server.address, timeout=5) as conn:
+                conn.sendall(
+                    b"POST /v1/jobs HTTP/1.1\r\n"
+                    b"Host: localhost\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: 100\r\n\r\n"
+                    b'{"suite":'
+                )
+                start = time.monotonic()
+                reply = b""
+                while True:
+                    chunk = conn.recv(4096)  # socket.timeout fails the test
+                    if not chunk:
+                        break
+                    reply += chunk
+                elapsed = time.monotonic() - start
+            assert elapsed < 5
+            assert reply == b"" or reply.startswith(b"HTTP/1.1 408"), reply
+            deadline = time.monotonic() + 5
+            while any(
+                t.is_alive() for t in set(threading.enumerate()) - before
+            ):
+                assert time.monotonic() < deadline, "handler still alive"
+                time.sleep(0.05)
+            assert ServiceClient(server.url).healthz()["ok"] is True
+
+    def test_oldest_finished_jobs_are_dropped(self, tmp_path, monkeypatch):
+        """Past the bound on finished jobs' cells the oldest finished job
+        goes (404 on its record and cells, gone from the listing) and
+        the newer ones stay."""
+        monkeypatch.setattr(service_module, "FINISHED_JOB_CELLS", 12)
+        service = CampaignService(
+            cache=NullCache(), runs_dir=tmp_path / "runs"
+        )
+        with ServiceServer(service, port=0).start_background() as server:
+            client = ServiceClient(server.url)
+            ids = []
+            for _ in range(3):  # 5 cells each
+                job = client.submit({**DIY2, "models": ["x86"]})
+                assert client.wait(job["id"], timeout=60)["state"] == "done"
+                ids.append(job["id"])
+            assert [j["id"] for j in client.jobs()] == ids[1:]
+            for fetch in (client.job, client.cells):
+                with pytest.raises(ServiceError) as excinfo:
+                    fetch(ids[0])
+                assert excinfo.value.status == 404
+            assert client.cells(ids[2])["next"] == 5
+            health = client.healthz()
+            assert (health["jobs"], health["queued"], health["running"]) == (
+                2, 0, 0
+            )
 
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_malformed_content_length_is_a_400(self, tmp_path, length):
