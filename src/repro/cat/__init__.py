@@ -5,10 +5,10 @@ format"; this package reproduces that artefact.  It implements a cat
 dialect — lexer (:mod:`repro.cat.lexer`), parser
 (:mod:`repro.cat.parser`), and a compiler onto the unified relational IR
 (:mod:`repro.cat.compile`), which is the only meaning a source has —
-plus the model files themselves under :mod:`repro.cat.library` and an
-adapter (:class:`repro.cat.model.CatModel`) that turns a ``.cat`` file
-into a :class:`repro.models.base.MemoryModel`, interchangeable with the
-native Python models.  Every check, flag and binding is an IR
+plus the model files themselves under :mod:`repro.cat.library` and
+:class:`repro.cat.model.CatModel`, the :class:`repro.ir.model.IRModel`
+a ``.cat`` file defines, interchangeable with the native Python
+models.  Every check, flag and binding is an IR
 evaluation, and an ill-formed source is rejected when it is compiled
 (every :class:`CatError` is a :class:`ValueError` carrying its line and
 column).  ``tests/test_cat_models.py`` cross-validates the two
@@ -31,8 +31,10 @@ the library files stick to it):
   ``;`` and when checked (write ``[S]`` to be explicit), and nowhere
   else: a closure or converse of an event set is a type error;
 * ``acyclic | irreflexive | empty expr as name`` define consistency
-  axioms; ``flag <check>`` records a non-consistency diagnostic (used for
-  race detection); ``show``/``unshow`` are parsed and ignored.
+  axioms, and a ``~`` prefix negates one (the check holds when the
+  relation is cyclic, reflexive or non-empty); ``flag <check>`` records
+  a non-consistency diagnostic (used for race detection);
+  ``show``/``unshow`` are parsed and ignored.
 """
 
 from .errors import CatError, CatSyntaxError, CatTypeError, CatNameError

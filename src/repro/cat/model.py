@@ -1,19 +1,22 @@
-"""Adapter: a parsed .cat file as a :class:`repro.models.base.MemoryModel`.
+"""A parsed ``.cat`` file as an :class:`~repro.ir.model.IRModel`.
 
 :class:`CatModel` makes the .cat library interchangeable with the native
-Python models — the same ``check``/``consistent`` interface, the same
-``tm=False`` baseline behaviour — so the whole toolflow (synthesis,
-metatheory, conformance) can run off a ``.cat`` file.  The
-cross-validation tests exploit this to assert that every library model
-agrees with its native counterpart on every execution they are given.
+Python models — it *is* one: the same ``IRModel`` implementation of
+``check``/``consistent``, the same ``tm=False`` baseline behaviour — so
+the whole toolflow (synthesis, metatheory, conformance) can run off a
+``.cat`` file.  The cross-validation tests exploit this to assert that
+every library model agrees with its native counterpart on every
+execution they are given.
 
 A source has one meaning, its lowering onto the unified relational IR:
 it is compiled once (:mod:`repro.cat.compile`) onto the same hash-consed
-DAG the native models declare their axioms in, so ``check``,
-``consistent`` and ``flags_raised`` are per-node memo lookups shared
-with every other model in a campaign, and an ill-formed source is
-rejected when the model is built.  Binding values are inspected by
-IR-evaluating ``compiled.bindings``.
+DAG the native models declare their axioms in, and its consistency
+checks become the model's :class:`~repro.ir.model.IRDefinition` (a
+``~kind`` check as a negated axiom), so ``check``, ``consistent`` and
+``flags_raised`` are per-node memo lookups shared with every other
+model in a campaign, and an ill-formed source is rejected when the
+model is built.  Binding values are inspected by IR-evaluating
+``compiled.bindings``.
 """
 
 from __future__ import annotations
@@ -22,22 +25,17 @@ import hashlib
 from functools import lru_cache
 from pathlib import Path
 
-from ..obs import trace
-from ..core.analysis import CandidateAnalysis, analyze
+from ..core.analysis import CandidateAnalysis
 from ..core.execution import Execution
 from ..ir.eval import axiom_holds
-from ..ir.eval import evaluate as ir_evaluate
-from ..ir.model import IRAxiom, IRDefinition
-from ..models.base import Axiom, AxiomResult, MemoryModel, Verdict, witness_for
+from ..ir.model import IRAxiom, IRDefinition, IRModel
 from .ast import Model
-from .compile import compile_model
+from .compile import CompiledCheck, compile_model
 from .errors import CatError
 from .library import library_files, library_source
 from .parser import parse
 
 __all__ = ["CatModel", "cat_file_model", "load_cat_model", "CAT_MODEL_FILES"]
-
-_UNSET = object()
 
 #: Library file for each model name, mirroring ``repro.models.registry``.
 CAT_MODEL_FILES: dict[str, str] = {
@@ -58,7 +56,27 @@ def _parse_library(name: str) -> Model:
     return parse(library_source(name))
 
 
-class CatModel(MemoryModel):
+def _definition(checks: tuple[CompiledCheck, ...]) -> IRDefinition:
+    """The consistency checks as IR axioms, in declaration order.
+
+    A name may repeat (``acyclic … as A`` twice): every check keeps its
+    name, and a repeat gets its own relation key (``A#2``, ``A#3``, …).
+    """
+    axioms = []
+    keys: set[str] = set()
+    for check in checks:
+        key, copy = check.name, 1
+        while key in keys:
+            copy += 1
+            key = f"{check.name}#{copy}"
+        keys.add(key)
+        axioms.append(
+            IRAxiom(check.name, check.kind, key, check.node, check.negated)
+        )
+    return IRDefinition(tuple(axioms))
+
+
+class CatModel(IRModel):
     """A memory model defined by .cat source text.
 
     Args:
@@ -77,77 +95,11 @@ class CatModel(MemoryModel):
         self.ast = parse(source)
         self.arch = name or self.ast.title or "cat"
         self.compiled = compile_model(self.ast, _parse_library)
-        self._plan = tuple(
-            sorted(self.compiled.axiom_checks, key=lambda c: c.node.cost)
-        )
-
-    # -- evaluation ------------------------------------------------------
+        self._definition = _definition(self.compiled.axiom_checks)
 
     def definition(self) -> IRDefinition:
-        """The compiled consistency axioms as an :class:`IRDefinition`.
-
-        Flag checks are diagnostics and excluded (matching
-        :meth:`axioms`); negated non-flag checks have no axiom form.
-        """
-        axioms = []
-        for check in self.compiled.axiom_checks:
-            if check.negated:
-                raise CatError(
-                    f"negated non-flag check {check.name!r} has no Axiom form"
-                )
-            axioms.append(
-                IRAxiom(check.name, check.kind, check.name, check.node)
-            )
-        return IRDefinition(tuple(axioms))
-
-    def relations(self, x: "Execution | CandidateAnalysis") -> dict:
-        a = analyze(x)
-        return {
-            c.name: ir_evaluate(c.node, a)
-            for c in self.compiled.axiom_checks
-        }
-
-    def axioms(self) -> tuple[Axiom, ...]:
-        return tuple(
-            Axiom(ax.name, ax.kind, ax.name) for ax in self.definition().axioms
-        )
-
-    def check(self, x: "Execution | CandidateAnalysis") -> Verdict:
-        a = self._analysis(x)
-        results = []
-        for c in self.compiled.axiom_checks:
-            rel = ir_evaluate(c.node, a)
-            witness = witness_for(c.kind, rel)
-            holds = witness is None
-            if c.negated:
-                holds = not holds
-            results.append(AxiomResult(c.name, holds, witness))
-        results = tuple(results)
-        return Verdict(self.name, all(r.holds for r in results), results)
-
-    def batch_definition(self):
-        """The compiled axioms, or ``None`` when a check is negated
-        (negation has no :class:`IRAxiom` form)."""
-        cached = self.__dict__.get("_batch_definition", _UNSET)
-        if cached is _UNSET:
-            if any(c.negated for c in self._plan):
-                cached = None
-            else:
-                cached = self.definition()
-            self._batch_definition = cached
-        return cached
-
-    def consistent(self, x: "Execution | CandidateAnalysis") -> bool:
-        a = self._analysis(x)
-        if trace.ACTIVE is not None:
-            with trace.stage("axioms"):
-                return all(self._holds(c, a) for c in self._plan)
-        return all(self._holds(c, a) for c in self._plan)
-
-    @staticmethod
-    def _holds(check, a) -> bool:
-        holds = axiom_holds(check.kind, check.node, a)
-        return not holds if check.negated else holds
+        """The consistency (non-flag) checks; flags are diagnostics."""
+        return self._definition
 
     def flags_raised(self, x: "Execution | CandidateAnalysis") -> list[str]:
         """Names of raised ``flag`` diagnostics (e.g. ``DataRace``).
@@ -159,7 +111,7 @@ class CatModel(MemoryModel):
         return [
             c.name
             for c in self.compiled.flag_checks
-            if self._holds(c, a)
+            if axiom_holds(c.kind, c.node, a) != c.negated
         ]
 
     def race_free(self, x: "Execution | CandidateAnalysis") -> bool:

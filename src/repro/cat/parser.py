@@ -246,6 +246,8 @@ class _Parser:
 
     def statement(self) -> Stmt:
         token = self.current
+        if token.kind == TokenKind.COMPL:  # a negated check: ``~empty r``
+            return self._check(flag=False)
         if token.kind != TokenKind.KEYWORD:
             raise CatSyntaxError(
                 f"expected a statement, found {token.text!r}",

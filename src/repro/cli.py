@@ -38,9 +38,9 @@ Commands:
 * ``table1`` / ``table2`` / ``table3`` / ``fig7`` / ``rtl`` /
   ``ablation`` — regenerate the paper's tables and figures.  table1
   and table2 run through the campaign engine and accept ``--jobs``;
-  fig7 routes its consistency checks through the engine's in-memory
-  memoized models (never the persistent cache — the figure measures
-  synthesis time); table3 is definitional — it has no test×model loop;
+  fig7 checks consistency on the models directly (never through a
+  cache — the figure measures synthesis time); table3 is
+  definitional — it has no test×model loop;
 * ``catalog`` — list the catalogue.
 """
 
@@ -574,17 +574,6 @@ def _cmd_fuzz(args) -> int:
     return 0
 
 
-def _explain_definition(model):
-    """The model's IR axioms, or None (oracles, ``.cat`` models with a
-    negated check)."""
-    from .ir import ir_definition
-
-    try:
-        return ir_definition(model)
-    except Exception:
-        return None
-
-
 def _cmd_explain(args) -> int:
     import os
 
@@ -607,14 +596,9 @@ def _cmd_explain(args) -> int:
         models.append((spec, model))
 
     # -- compiled IR DAG statistics -------------------------------------
-    definitions = []
+    definitions = [model.definition() for _, model in models]
     print("compiled IR DAG:")
-    for spec, model in models:
-        definition = _explain_definition(model)
-        if definition is None:
-            print(f"  {spec:<16} (not IR-defined; no stats)")
-            continue
-        definitions.append((spec, definition))
+    for (spec, _), definition in zip(models, definitions):
         stats = definition.stats()
         print(
             f"  {spec:<16} axioms={len(definition.axioms):<2} "
@@ -623,7 +607,7 @@ def _cmd_explain(args) -> int:
             f"sharing={stats['sharing']:.2f}x"
         )
     if len(definitions) > 1:
-        cross = cross_model_stats([d.roots() for _, d in definitions])
+        cross = cross_model_stats([d.roots() for d in definitions])
         print(
             f"  cross-model: union_dag_nodes={cross['union_nodes']} "
             f"sum_of_models={cross['sum_of_models']} "
@@ -692,28 +676,23 @@ def _explain_execution(x, models, verbose: bool = False) -> None:
 
     for spec, model in models:
         print(f"\n  {spec}:")
-        definition = _explain_definition(model)
-        if definition is not None:
-            a = analyze_for(model, x)
-            for ax in definition.axioms:
-                rel = ir_evaluate(ax.node, a)
-                witness = witness_for(ax.kind, rel)
-                status = "ok      " if witness is None else "VIOLATED"
-                line = (
-                    f"    {ax.name:<14} {ax.kind:<11} {status} "
-                    f"|r|={len(rel)} cost={ax.node.cost}"
-                )
-                if witness is not None:
-                    line += f" witness={witness}"
-                print(line)
-                if verbose:
-                    print(f"      node: {ir_describe(ax.node)}")
-                    print(f"      pairs: {sorted(rel.pairs())}")
-        else:
-            verdict = model.check(x)
-            for r in verdict.results:
-                status = "ok      " if r.holds else "VIOLATED"
-                print(f"    {r.name:<14} {status}")
+        a = analyze_for(model, x)
+        for ax in model.axioms():
+            rel = ir_evaluate(ax.node, a)
+            witness = witness_for(ax.kind, rel)
+            holds = (witness is None) != ax.negated
+            status = "ok      " if holds else "VIOLATED"
+            kind = f"~{ax.kind}" if ax.negated else ax.kind
+            line = (
+                f"    {ax.name:<14} {kind:<11} {status} "
+                f"|r|={len(rel)} cost={ax.node.cost}"
+            )
+            if witness is not None:
+                line += f" witness={witness}"
+            print(line)
+            if verbose:
+                print(f"      node: {ir_describe(ax.node)}")
+                print(f"      pairs: {sorted(rel.pairs())}")
 
 
 def analyze_for(model, x):

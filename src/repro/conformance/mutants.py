@@ -59,24 +59,13 @@ def known_mutant_specs(arch: str) -> list[str]:
 
 @lru_cache(maxsize=None)
 def _mutant_definition(arch: str, axiom_name: str) -> IRDefinition:
-    try:
-        cls = MODELS[arch]
-    except KeyError:
-        raise ValueError(
-            f"unknown model {arch!r}; known: {', '.join(sorted(MODELS))}"
-        ) from None
-    stock = get_model(arch)
-    if not isinstance(stock, IRModel):
-        raise ValueError(
-            f"model {arch!r} is not IR-defined; cannot derive mutants"
-        )
+    stock = get_model(arch)  # a ValueError names the known models
     known = [a.name for a in stock.axioms()]
     if axiom_name not in known:
         raise ValueError(
             f"model {arch!r} has no axiom {axiom_name!r}; "
             f"its axioms are {', '.join(known)}"
         )
-    del cls
     return stock.definition().drop(axiom_name)
 
 

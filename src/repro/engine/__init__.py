@@ -47,7 +47,6 @@ from .checkers import (
     OracleChecker,
     resolve_checker,
 )
-from .memo import MemoModel
 from .pool import default_jobs
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "CampaignResult",
     "CellResult",
     "Checker",
-    "MemoModel",
     "ModelChecker",
     "NullCache",
     "OracleChecker",

@@ -63,15 +63,16 @@ def definition_hash(obj) -> str:
     Editing a model must invalidate its cached verdicts, so the cache
     key includes this alongside the spec string.  Objects may provide a
     ``definition_token()`` naming their definition explicitly — every
-    IR-defined model (all native models, ``.cat`` models, mutants)
-    derives its token from the interned structural digest of
-    its axiom DAG, so cached verdicts are invalidated *precisely* when
-    the semantics change: reformatting a model file or renaming a local
-    binding keeps the cache warm, editing an axiom's relation always
-    invalidates.  Otherwise (remaining Python models and oracles) the
-    class source is hashed.  Edits to shared helpers in other modules
-    are not caught — bump :data:`repro.engine.cache.CACHE_VERSION` for
-    those.
+    model (native, ``.cat``, mutant) derives its token from the interned
+    structural digest of its axiom DAG, so cached verdicts are
+    invalidated *precisely* when the semantics change: reformatting a
+    model file or renaming a local binding keeps the cache warm, editing
+    an axiom's relation always invalidates.  The axiomatic hardware
+    oracles (``hw:power``, ``hw:armv8``, ``hw:armv8:buggy``) name the
+    token of the model they wrap.  Otherwise (the operational oracles)
+    the class source is hashed.  Edits to shared helpers in other
+    modules are not caught — bump
+    :data:`repro.engine.cache.CACHE_VERSION` for those.
     """
     token = getattr(obj, "definition_token", None)
     if callable(token):

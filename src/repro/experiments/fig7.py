@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..engine.memo import MemoModel
 from ..models.registry import get_model
 from ..synth.generate import EnumerationSpace
 from ..synth.synthesis import SynthesisResult, synthesize_forbid
@@ -57,20 +56,18 @@ def run_fig7(
 ) -> Fig7Series:
     """Regenerate the Figure 7 curve at a laptop-sized bound.
 
-    Consistency checks run through the campaign engine's
-    :class:`~repro.engine.memo.MemoModel`, so weakening probes that
-    revisit an execution are deduplicated in memory.  The memo is
-    deliberately *not* backed by the persistent cache here: the figure
-    *is* a synthesis-time distribution, and serving verdicts from disk
-    would make the measured curve meaningless.
+    Every consistency check runs on the models themselves, never
+    through a verdict cache: the figure *is* a synthesis-time
+    distribution, and serving verdicts from a cache would make the
+    measured curve meaningless.
     """
     result: SynthesisResult = synthesize_forbid(
         arch,
         n_events,
         time_budget=time_budget,
         space=space,
-        model=MemoModel(get_model(arch)),
-        baseline=MemoModel(get_model(arch, tm=False)),
+        model=get_model(arch),
+        baseline=get_model(arch, tm=False),
     )
     return Fig7Series(
         arch=arch,

@@ -3,9 +3,10 @@
 This package is the single semantic substrate behind both checker
 families: the native Python models (:mod:`repro.models`) declare their
 axioms as IR expressions, and the ``.cat`` compiler lowers parsed
-models onto the same DAG (:mod:`repro.cat.compile`).  Structural
-interning makes identical subexpressions — across models, across
-families — the *same node*, and the evaluation engine memoizes per
+models onto the same DAG (:mod:`repro.cat.compile`); one class,
+:class:`IRModel`, checks them all.  Structural interning makes
+identical subexpressions — across models, across families — the *same
+node*, and the evaluation engine memoizes per
 ``(CandidateAnalysis, node)``, so a campaign sweeping many models over
 one candidate computes every shared relation exactly once.
 
@@ -77,20 +78,7 @@ __all__ = [
 
 
 def ir_definition(model) -> "IRDefinition | None":
-    """The :class:`IRDefinition` behind ``model``, if it has one.
-
-    Works for native :class:`IRModel` subclasses and for
-    :class:`~repro.cat.model.CatModel` instances (one with a negated
-    non-flag check raises :class:`~repro.cat.errors.CatError`: negation
-    has no :class:`IRAxiom` form); returns ``None`` for models outside
-    the IR (ad-hoc subclasses, oracles).
-    """
-    getter = getattr(model, "definition", None)
-    if callable(getter):
-        try:
-            definition = getter()
-        except NotImplementedError:
-            return None
-        if isinstance(definition, IRDefinition):
-            return definition
-    return None
+    """The :class:`IRDefinition` behind ``model``, or ``None`` when it
+    is not a model (a hardware oracle): every model — native, ``.cat``,
+    mutant or sketch — is an :class:`IRModel`."""
+    return model.definition() if isinstance(model, IRModel) else None

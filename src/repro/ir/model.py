@@ -1,17 +1,20 @@
 """Axiomatic models as IR data: :class:`IRDefinition` and :class:`IRModel`.
 
-An :class:`IRModel` declares its semantics once, as a tuple of
-:class:`IRAxiom` records (name, check kind, operand *node*) plus optional
-extra named relations, instead of imperatively recomputing a relation
-dictionary per execution.  Everything else — ``check``, ``consistent``,
-``relations``, the ``tm=False`` baseline behaviour — is inherited
-machinery driven by the shared IR evaluator:
+Every model is an :class:`IRModel` — the native models, the ``.cat``
+models, the fuzzer's mutants and the MemSynth sketches alike.  It
+declares its semantics once, as a tuple of :class:`IRAxiom` records
+(name, check kind, operand *node*, negation) plus optional extra named
+relations, and this module implements the model surface once for all
+of them, driven by the shared IR evaluator:
 
 * ``consistent()`` evaluates axioms **cheapest-IR-cost-first** (the
   planner), lazily, so the short-circuit hot path of the synthesizer
   never materialises operands it does not need;
 * ``check()`` evaluates in declaration order and reports deterministic
   witnesses;
+* ``batch_definition()`` hands the definition to the campaign prefill's
+  kernels unless an axiom is negated (only a ``.cat`` ``~kind`` check
+  is), in which case every cell runs on the scalar path;
 * ``definition_token()`` is derived from the interned structural digest
   of the axioms, so the campaign cache invalidates exactly when a
   model's *semantics* change (reformatting a file no longer does it,
@@ -23,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..core.analysis import analyze
+from ..core.relation import Relation
 from ..obs import trace
-from ..models.base import Axiom, MemoryModel
+from ..models.base import AxiomResult, MemoryModel, Verdict, witness_for
 from .eval import axiom_holds, evaluate
 from .nodes import Node, dag_stats
 
@@ -40,14 +43,16 @@ _CHECKS = {
 
 @dataclass(frozen=True)
 class IRAxiom:
-    """One axiom: ``kind(node)`` must hold; ``key`` names the operand in
-    the ``relations()`` dictionary (kept distinct from ``name`` so the
-    existing model APIs are unchanged)."""
+    """One axiom: ``kind(node)`` must hold, or must fail when
+    ``negated`` (a ``.cat`` ``~kind`` check); ``key`` names the operand
+    in the ``relations()`` dictionary (kept distinct from ``name``,
+    which two ``.cat`` checks may share)."""
 
     name: str
     kind: str
     key: str
     node: Node
+    negated: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in _CHECKS:
@@ -79,8 +84,9 @@ class IRDefinition:
 
         hasher = hashlib.sha256()
         for ax in self.axioms:
+            neg = "~" if ax.negated else ""
             hasher.update(
-                f"{ax.name}:{ax.kind}:{ax.node.digest};".encode()
+                f"{ax.name}:{neg}{ax.kind}:{ax.node.digest};".encode()
             )
         return hasher.hexdigest()[:16]
 
@@ -115,10 +121,10 @@ class IRModel(MemoryModel):
     """A :class:`~repro.models.base.MemoryModel` whose semantics is an
     :class:`IRDefinition`.
 
-    Subclasses implement :meth:`define` (called once per class; the
-    result is interned IR, execution-independent).  The public surface —
-    ``relations``/``axioms``/``check``/``consistent``/``failed_axioms``
-    — is identical to every other model's.
+    Native models implement :meth:`define` (called once per class; the
+    result is interned IR, execution-independent); a model built per
+    instance (``.cat`` source, mutant, sketch) overrides
+    :meth:`definition` instead.
     """
 
     @classmethod
@@ -134,21 +140,34 @@ class IRModel(MemoryModel):
             cls._ir_definition = cached
         return cached
 
-    # -- the MemoryModel surface, driven by the definition ---------------
+    # -- the model surface, driven by the definition ---------------------
 
-    def relations(self, x):
-        # ``check`` hands over the analysis ``tm`` already selected.
+    def relations(self, x) -> dict[str, Relation]:
+        """Every axiom operand by key, plus the definition's extras,
+        evaluated on the analysis this model checks (the ``tm=False``
+        view for a baseline model)."""
         definition = self.definition()
-        a = analyze(x)
+        a = self._analysis(x)
         out = {ax.key: evaluate(ax.node, a) for ax in definition.axioms}
         for key, node in definition.extras:
             out[key] = evaluate(node, a)
         return out
 
-    def axioms(self) -> tuple[Axiom, ...]:
-        return tuple(
-            Axiom(ax.name, ax.kind, ax.key)
-            for ax in self.definition().axioms
+    def axioms(self) -> tuple[IRAxiom, ...]:
+        """The model's axioms in declaration order."""
+        return self.definition().axioms
+
+    def check(self, x) -> Verdict:
+        """Evaluate every axiom in declaration order; return a full
+        report with witnesses (:func:`~repro.models.base.witness_for`)."""
+        a = self._analysis(x)
+        results = []
+        for ax in self.definition().axioms:
+            witness = witness_for(ax.kind, evaluate(ax.node, a))
+            holds = (witness is None) != ax.negated
+            results.append(AxiomResult(ax.name, holds, witness))
+        return Verdict(
+            self.name, all(r.holds for r in results), tuple(results)
         )
 
     def consistent(self, x) -> bool:
@@ -158,17 +177,22 @@ class IRModel(MemoryModel):
         if trace.ACTIVE is not None:
             with trace.stage("axioms"):
                 return all(
-                    axiom_holds(kind, node, a) for kind, node in plan
+                    axiom_holds(kind, node, a) != negated
+                    for kind, node, negated in plan
                 )
-        return all(axiom_holds(kind, node, a) for kind, node in plan)
+        return all(
+            axiom_holds(kind, node, a) != negated
+            for kind, node, negated in plan
+        )
 
     def _checks_plan(self):
-        """Cached ``(kind, node)`` pairs in planner order (the per-call
-        hot path avoids re-touching the definition)."""
+        """Cached ``(kind, node, negated)`` triples in planner order (the
+        per-call hot path avoids re-touching the definition)."""
         plan = getattr(self, "_plan_cache", None)
         if plan is None:
             plan = tuple(
-                (ax.kind, ax.node) for ax in self.definition().plan
+                (ax.kind, ax.node, ax.negated)
+                for ax in self.definition().plan
             )
             self._plan_cache = plan
         return plan
@@ -180,6 +204,11 @@ class IRModel(MemoryModel):
         meaning changes."""
         return f"ir:{self.arch}:tm={self.tm}:{self.definition().digest}"
 
-    def batch_definition(self):
-        """Native IR models are always batchable."""
-        return self.definition()
+    def batch_definition(self) -> "IRDefinition | None":
+        """The definition the campaign prefill's kernels check, or
+        ``None`` when an axiom is negated: kernels evaluate plain axioms
+        only, so such a model's cells run on the scalar path."""
+        definition = self.definition()
+        if any(ax.negated for ax in definition.axioms):
+            return None
+        return definition

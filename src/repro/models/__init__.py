@@ -3,7 +3,7 @@
 
 from .aborts import abort_variants, program_racy, truncate_aborts
 from .armv8 import ARMv8
-from .base import Axiom, AxiomResult, MemoryModel, Verdict
+from .base import AxiomResult, MemoryModel, Verdict
 from .cpp import Cpp
 from .dongol import DongolPower
 from .isolation import (
@@ -25,7 +25,6 @@ __all__ = [
     "program_racy",
     "riscv_ppo",
     "truncate_aborts",
-    "Axiom",
     "AxiomResult",
     "Cpp",
     "DongolPower",

@@ -8,9 +8,12 @@ are supported here:
 * ``irreflexive(r)`` — ``r`` must have no reflexive pairs;
 * ``empty(r)``     — ``r`` must contain no pairs.
 
-:meth:`MemoryModel.check` evaluates every axiom and returns a
-:class:`Verdict` with failure witnesses; :meth:`MemoryModel.consistent`
-short-circuits on the first failure (the hot path of the synthesizer).
+Every model is an :class:`~repro.ir.model.IRModel`, which declares its
+axioms as IR data and implements ``check`` (a :class:`Verdict` with
+failure witnesses, see :func:`witness_for`) and ``consistent`` (the
+short-circuit hot path of the synthesizer) once for all of them.
+:class:`MemoryModel` is the public type every consumer names; it holds
+only the model-independent surface.
 
 Models take a ``tm`` flag: with ``tm=False`` the transactional structure of
 the execution is ignored entirely (``stxn`` treated as empty), which gives
@@ -23,23 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..obs import trace
 from ..core.analysis import CandidateAnalysis, analyze
 from ..core.execution import Execution
 from ..core.relation import Relation
 
 __all__ = [
-    "Axiom",
     "AxiomResult",
     "Verdict",
     "MemoryModel",
-    "DerivedRelations",
     "canonical_cycle",
     "witness_for",
 ]
-
-#: The derived-relation dictionary each model computes per execution.
-DerivedRelations = dict[str, Relation]
 
 
 def canonical_cycle(cycle: list[int]) -> list[int]:
@@ -76,29 +73,6 @@ def witness_for(kind: str, rel: Relation):
 
 
 @dataclass(frozen=True)
-class Axiom:
-    """A named constraint of one of the three standard forms."""
-
-    name: str
-    kind: str  # "acyclic" | "irreflexive" | "empty"
-    relation: str  # key into the model's derived-relation dict
-
-    def evaluate(self, relations: DerivedRelations) -> "AxiomResult":
-        witness = witness_for(self.kind, relations[self.relation])
-        return AxiomResult(self.name, witness is None, witness)
-
-    def holds(self, relations: DerivedRelations) -> bool:
-        rel = relations[self.relation]
-        if self.kind == "acyclic":
-            return rel.is_acyclic()
-        if self.kind == "irreflexive":
-            return rel.is_irreflexive()
-        if self.kind == "empty":
-            return rel.is_empty()
-        raise ValueError(f"unknown axiom kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class AxiomResult:
     """The outcome of evaluating one axiom: pass/fail plus a witness."""
 
@@ -130,11 +104,11 @@ class Verdict:
 
 
 class MemoryModel:
-    """Base class for every model in :mod:`repro.models`.
+    """The public type of every model in :mod:`repro.models`.
 
-    Subclasses implement :meth:`relations` (the derived-relation
-    dictionary) and :meth:`axioms` (the axiom list); everything else is
-    inherited.
+    :class:`~repro.ir.model.IRModel`, its only direct subclass,
+    provides ``check``/``consistent``/``relations``/``axioms`` from the
+    model's IR definition; this class holds what does not depend on it.
     """
 
     #: Short architecture tag ("sc", "x86", "power", "armv8", "cpp").
@@ -156,25 +130,6 @@ class MemoryModel:
         suffix = "" if self.tm else " (no TM)"
         return f"{self.arch}{suffix}"
 
-    # -- to be provided by subclasses ----------------------------------
-
-    def relations(self, x: "Execution | CandidateAnalysis") -> DerivedRelations:
-        """Compute the model's derived relations for ``x``.
-
-        IR models evaluate their axiom nodes on ``analyze(x)``, whose
-        IR memo computes each node once per candidate however many
-        models check it.  A model written as Python relations reads
-        ``analyze(x).execution`` (the transaction-stripped execution
-        on a ``tm=False`` baseline view).
-        """
-        raise NotImplementedError
-
-    def axioms(self) -> tuple[Axiom, ...]:
-        """The model's axioms in evaluation order."""
-        raise NotImplementedError
-
-    # -- shared machinery ----------------------------------------------
-
     def _analysis(self, x: "Execution | CandidateAnalysis") -> CandidateAnalysis:
         """The analysis this model evaluates against: the candidate's
         shared analysis, or its transaction-erased baseline view when
@@ -182,42 +137,9 @@ class MemoryModel:
         a = analyze(x)
         return a if self.tm else a.baseline
 
-    def check(self, x: "Execution | CandidateAnalysis") -> Verdict:
-        """Evaluate every axiom; return a full report with witnesses."""
-        relations = self.relations(self._analysis(x))
-        results = tuple(axiom.evaluate(relations) for axiom in self.axioms())
-        return Verdict(self.name, all(r.holds for r in results), results)
-
-    def batch_definition(self):
-        """The :class:`~repro.ir.model.IRDefinition` the batched
-        evaluation path may check instead of per-candidate
-        :meth:`consistent` calls, or ``None`` when this model's
-        consistency is not expressible as plain IR axioms (then every
-        consumer falls back to the scalar path)."""
-        return None
-
-    def consistent(self, x: "Execution | CandidateAnalysis") -> bool:
-        """Fast yes/no consistency (short-circuits on first failure)."""
-        if trace.ACTIVE is not None:
-            with trace.stage("axioms"):
-                relations = self.relations(self._analysis(x))
-                return all(
-                    axiom.holds(relations) for axiom in self.axioms()
-                )
-        relations = self.relations(self._analysis(x))
-        return all(axiom.holds(relations) for axiom in self.axioms())
-
     def failed_axioms(self, x: "Execution | CandidateAnalysis") -> list[str]:
         """Names of the axioms the execution violates."""
         return [r.name for r in self.check(x).failures]
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} tm={self.tm}>"
-
-
-def chain(*relations: Relation) -> Relation:
-    """Compose relations left to right (helper for model definitions)."""
-    result = relations[0]
-    for rel in relations[1:]:
-        result = result @ rel
-    return result

@@ -70,6 +70,12 @@ class _AxiomaticOracle(HardwareOracle):
     def __init__(self, model: MemoryModel) -> None:
         self.model = model
 
+    def definition_token(self) -> str:
+        """Engine cache keying: the oracle's name plus the IR token of
+        the model that decides its verdicts, so editing that model
+        invalidates the oracle's cached cells too."""
+        return f"{self.name}:{self.model.definition_token()}"
+
     def observable(self, test: LitmusTest) -> bool:
         return observable(test, self.model)
 

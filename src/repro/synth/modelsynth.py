@@ -14,7 +14,8 @@ multicopy-atomic model with four groups of holes:
   kinds (``WW``, ``WR``, ``RW``, ``RR``);
 * ``deps`` — which dependency kinds order their endpoints (``addr``,
   ``data``, ``ctrl``);
-* ``fences`` — which fence flavours act as full barriers;
+* ``fences`` — which fence flavours act as full barriers (any of
+  :attr:`~repro.core.events.Label.FENCE_KINDS`);
 * ``tm`` — which of the paper's transactional axioms are present
   (``tfence``, ``strong_isol``, ``txn_order``, ``txn_cancels_rmw``).
 
@@ -22,6 +23,12 @@ Every hole is *monotone*: adding it only forbids more executions.  The
 search exploits this — forbidden examples give lower bounds, allowed
 examples upper bounds — but the space is small enough (2¹⁵ for the full
 sketch) that exhaustive scanning with early pruning is also exact.
+
+Each sketch is an :class:`~repro.ir.model.IRModel` whose axioms are IR
+nodes, so the relations one example determines (each ppo hole's
+``W×R ∩ po``, ``po_loc ∪ com``, a fence's ``po;[F];po``, …) are
+interned once and computed once per example by its IR memo, however
+many sketches check it.
 
 The flagship demonstrations (see ``tests/test_modelsynth.py`` and
 ``examples/model_synthesis.py``):
@@ -39,11 +46,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..core.analysis import CandidateAnalysis, analyze
+from ..core.events import Label
 from ..core.execution import Execution
-from ..core.lifting import stronglift
-from ..core.relation import Relation
-from ..models.base import Axiom, DerivedRelations, MemoryModel
+from ..ir import nodes as N
+from ..ir import prelude as P
+from ..ir.model import IRAxiom, IRDefinition, IRModel
 
 __all__ = [
     "PPO_HOLES",
@@ -74,6 +81,7 @@ class ModelParams:
         for name, universe in (
             ("ppo", PPO_HOLES),
             ("deps", DEP_HOLES),
+            ("fences", Label.FENCE_KINDS),
             ("tm", TM_HOLES),
         ):
             extra = getattr(self, name) - set(universe)
@@ -103,7 +111,56 @@ class ModelParams:
         )
 
 
-class SketchModel(MemoryModel):
+def _ppo(pair: str) -> N.Node:
+    """``po`` restricted to the access kinds a ppo hole names (``WR``)."""
+    kinds = {"W": P.W, "R": P.R}
+    return N.cross(kinds[pair[0]], kinds[pair[1]]) & P.po
+
+
+#: The relation each hole that orders ``hb`` adds to it: the ppo pairs,
+#: the dependencies, every fence flavour (its event set is the label's
+#: upper-cased name, ``MFENCE``) and ``tfence``.
+_HB_TERMS = {
+    **{pair: _ppo(pair) for pair in PPO_HOLES},
+    "addr": P.addr,
+    "data": P.data,
+    "ctrl": P.ctrl,
+    **{kind: P.fencerel(kind.upper()) for kind in Label.FENCE_KINDS},
+    "tfence": P.tfence,
+}
+
+
+def _sketch_definition(p: ModelParams) -> IRDefinition:
+    """The axioms of the sketch point ``p`` (see :class:`SketchModel`)."""
+    holes = p.ppo | p.deps | p.fences | (p.tm & {"tfence"})
+    hb = N.union(P.rfe, P.coe, P.fre, *(_HB_TERMS[hole] for hole in holes))
+    axioms = [
+        IRAxiom("Coherence", "acyclic", "coherence", P.coherence),
+        IRAxiom("RMWIsol", "empty", "rmw_isol", P.rmw_isol),
+        IRAxiom("Order", "acyclic", "hb", hb),
+    ]
+    if "strong_isol" in p.tm:
+        axioms.append(
+            IRAxiom(
+                "StrongIsol", "acyclic", "strong_isol", P.stronglift(P.com)
+            )
+        )
+    if "txn_order" in p.tm:
+        axioms.append(
+            IRAxiom(
+                "TxnOrder", "acyclic", "txn_order", P.stronglift(N.plus(hb))
+            )
+        )
+    if "txn_cancels_rmw" in p.tm:
+        axioms.append(
+            IRAxiom(
+                "TxnCancelsRMW", "empty", "txn_cancels_rmw", P.rmw & P.tfence
+            )
+        )
+    return IRDefinition(tuple(axioms))
+
+
+class SketchModel(IRModel):
     """The parametric MCA model induced by a :class:`ModelParams`.
 
     Fixed skeleton: Coherence and RMWIsol always hold; the Order axiom
@@ -112,66 +169,20 @@ class SketchModel(MemoryModel):
         hb = ppo⟨holes⟩ ∪ deps⟨holes⟩ ∪ fences⟨holes⟩
            ∪ rfe ∪ coe ∪ fre [∪ tfence]
 
-    and the TM holes switch the paper's transactional axioms on.  The
-    relations are read off the execution the model checks
-    (:attr:`~repro.core.analysis.CandidateAnalysis.execution`: the
-    transaction-stripped one when ``tm=False``).
+    and the TM holes switch the paper's transactional axioms on:
+    StrongIsol ``acyclic(stronglift(com))``, TxnOrder
+    ``acyclic(stronglift(hb⁺))`` and TxnCancelsRMW
+    ``empty(rmw ∩ tfence)``.
     """
 
     def __init__(self, params: ModelParams, tm: bool = True) -> None:
         super().__init__(tm=tm)
         self.params = params
         self.arch = f"sketch({params.describe()})"
+        self._definition = _sketch_definition(params)
 
-    def relations(self, x: "Execution | CandidateAnalysis") -> DerivedRelations:
-        x = analyze(x).execution
-        n = x.n
-        p = self.params
-        kind_sets = {"W": x.writes, "R": x.reads}
-
-        hb = x.rfe | x.coe | x.fre
-        for pair in p.ppo:
-            hb = hb | (
-                Relation.cross(n, kind_sets[pair[0]], kind_sets[pair[1]])
-                & x.po
-            )
-        if "addr" in p.deps:
-            hb = hb | x.addr_rel
-        if "data" in p.deps:
-            hb = hb | x.data_rel
-        if "ctrl" in p.deps:
-            hb = hb | x.ctrl_rel
-        for kind in p.fences:
-            hb = hb | x.fence_rel(kind)
-        if "tfence" in p.tm:
-            hb = hb | x.tfence
-
-        relations = {
-            "coherence": x.po_loc | x.com,
-            "rmw_isol": x.rmw_rel & (x.fre @ x.coe),
-            "hb": hb,
-        }
-        if "strong_isol" in p.tm:
-            relations["strong_isol"] = stronglift(x.com, x.stxn)
-        if "txn_order" in p.tm:
-            relations["txn_order"] = stronglift(hb.plus(), x.stxn)
-        if "txn_cancels_rmw" in p.tm:
-            relations["txn_cancels_rmw"] = x.rmw_rel & x.tfence
-        return relations
-
-    def axioms(self) -> tuple[Axiom, ...]:
-        out = [
-            Axiom("Coherence", "acyclic", "coherence"),
-            Axiom("RMWIsol", "empty", "rmw_isol"),
-            Axiom("Order", "acyclic", "hb"),
-        ]
-        if "strong_isol" in self.params.tm:
-            out.append(Axiom("StrongIsol", "acyclic", "strong_isol"))
-        if "txn_order" in self.params.tm:
-            out.append(Axiom("TxnOrder", "acyclic", "txn_order"))
-        if "txn_cancels_rmw" in self.params.tm:
-            out.append(Axiom("TxnCancelsRMW", "empty", "txn_cancels_rmw"))
-        return tuple(out)
+    def definition(self) -> IRDefinition:
+        return self._definition
 
 
 @dataclass(frozen=True)

@@ -132,9 +132,9 @@ def synthesize(
 ) -> SynthesisResult:
     """Forbid + Allow in one call (the full Table 1 cell).
 
-    ``model``/``baseline`` may be any :class:`MemoryModel`, including an
-    :class:`~repro.engine.memo.MemoModel` wrapper — the campaign engine's
-    hook for memoized / persistently cached consistency checks.
+    ``model``/``baseline`` default to the registry's ``arch`` model and
+    its ``tm=False`` baseline; any :class:`MemoryModel` may stand in
+    (a ``.cat`` model, a mutant).
     """
     result = synthesize_forbid(
         arch,

@@ -458,6 +458,44 @@ class TestCampaignDifferential:
             assert sum(f"{token} at n={n} " in m for m in messages) == 1
 
 
+class TestCatCheckShapes:
+    """``.cat`` check shapes outside the native models' reach a campaign
+    without a counted prefill fallback: a negated check on the scalar
+    path, two checks sharing a name in the prefill's kernels."""
+
+    @staticmethod
+    def _batched_candidates(tmp_path, source):
+        """Candidates the batched pass sent through a kernel, after
+        checking its verdicts against the scalar pass's and that no
+        fallback was counted."""
+        path = tmp_path / "shape.cat"
+        path.write_text(source)
+        items = litmus_suite(
+            sorted(str(p) for p in CORPUS.glob("x86/*.litmus"))
+        )
+        specs = [str(path)]
+        scalar = _campaign_verdicts(items, specs, 0)
+        fallbacks = STATS.prefill_fallbacks
+        candidates = STATS.batch_candidates
+        batched = _campaign_verdicts(items, specs, 64)
+        assert batched == scalar
+        assert STATS.prefill_fallbacks == fallbacks
+        return STATS.batch_candidates - candidates
+
+    def test_negated_check_runs_scalar(self, tmp_path):
+        source = "acyclic po | rf | co | fr as Order\n~empty rf as HasRf\n"
+        assert self._batched_candidates(tmp_path, source) == 0
+
+    def test_checks_sharing_a_name_run_in_the_prefill(self, tmp_path):
+        source = (
+            "acyclic po | rf | co | fr as A\n"
+            "acyclic (po & loc) | rf | co | fr as A\n"
+        )
+        batched = self._batched_candidates(tmp_path, source)
+        if HAVE_NUMPY:
+            assert batched > 0, "no stack reached a kernel"
+
+
 class TestPrefillFallbacks:
     """A prefill step that raises sends its cells to the per-cell path:
     verdicts unchanged, the fallback counted (``ir_prefill_fallbacks``

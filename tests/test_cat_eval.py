@@ -243,6 +243,41 @@ class TestStatements:
         assert check.name == result.name == "Bad" and not result.holds
         assert "VIOLATED" in check.describe(result.holds)
 
+    def test_negated_check(self, mp):
+        """``~kind`` holds when ``kind`` fails; its witness is the plain
+        check's, and kernels leave such a model to the scalar path."""
+        model = CatModel("acyclic po as Order\n~empty rf as HasRf")
+        verdict = model.check(mp)
+        assert verdict.consistent and model.consistent(mp)
+        _, has_rf = verdict.results
+        assert has_rf.name == "HasRf" and has_rf.holds
+        assert has_rf.witness == [list(p) for p in sorted(mp.rf_rel.pairs())]
+
+        b = ExecutionBuilder()
+        b.thread().write("x")
+        b.thread().read("x")
+        no_rf = b.build()
+        verdict = model.check(no_rf)
+        assert not verdict.consistent and not model.consistent(no_rf)
+        (failure,) = verdict.failures
+        assert failure.name == "HasRf" and failure.witness is None
+        assert [ax.negated for ax in model.axioms()] == [False, True]
+        assert model.batch_definition() is None
+
+    def test_checks_sharing_a_name(self, mp):
+        """Both checks are kept and reported; the repeat gets its own
+        relation key, so the model stays batchable."""
+        model = CatModel("acyclic po as A\nacyclic po | po^-1 as A")
+        verdict = model.check(mp)
+        assert [(r.name, r.holds) for r in verdict.results] == [
+            ("A", True),
+            ("A", False),
+        ]
+        assert not model.consistent(mp)
+        assert [ax.key for ax in model.axioms()] == ["A", "A#2"]
+        assert set(model.relations(mp)) == {"A", "A#2"}
+        assert model.batch_definition() is model.definition()
+
     def test_flag_does_not_affect_consistency(self, mp):
         model = CatModel("flag ~empty po as Diag\nacyclic po as Order")
         assert model.consistent(mp)

@@ -154,6 +154,12 @@ class TestStatements:
         (stmt,) = parse("empty rmw").statements
         assert stmt.name.startswith("empty@")
 
+    def test_negated_check(self):
+        (stmt,) = parse("~empty rf as HasRf").statements
+        assert not stmt.flag and stmt.negated and stmt.kind == "empty"
+        with pytest.raises(CatSyntaxError, match="expected one of"):
+            parse("~rf as HasRf")
+
     def test_flagged_negated_check(self):
         (stmt,) = parse("flag ~empty race as DataRace").statements
         assert stmt.flag and stmt.negated and stmt.kind == "empty"

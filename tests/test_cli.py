@@ -260,6 +260,20 @@ class TestExplain:
         assert code == 0
         assert "Coherence" in out and "cost=" in out
 
+    def test_explain_negated_cat_check(self, capsys, tmp_path):
+        """A ``.cat`` model with a negated check is IR like any other:
+        DAG stats, and a per-axiom line that honours the negation."""
+        path = tmp_path / "hasrf.cat"
+        path.write_text(
+            "acyclic po | rf | co | fr as Order\n~empty rf as HasRf\n"
+        )
+        code, out = run(capsys, "explain", "--test", "fig2",
+                        "--model", str(path))
+        assert code == 0
+        assert "axioms=2" in out and "dag_nodes=" in out
+        (line,) = [line for line in out.splitlines() if "HasRf" in line]
+        assert "~empty" in line and "ok" in line
+
     def test_explain_bad_model_exits_two(self, capsys):
         code, _ = run(capsys, "explain", "--test", "fig2",
                       "--model", "nosuchmodel")

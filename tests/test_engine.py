@@ -8,7 +8,6 @@ import pytest
 from repro.catalog import CATALOG
 from repro.engine import (
     CampaignItem,
-    MemoModel,
     NullCache,
     ResultCache,
     cache_key,
@@ -72,6 +71,25 @@ class TestFingerprint:
         assert definition_hash(a) == definition_hash(
             CatModel('"t"\nacyclic po as Order')
         )
+
+    def test_axiomatic_oracle_hash_tracks_its_model(self, monkeypatch):
+        """``hw:power`` judges by the Power model: editing that model's
+        axioms must invalidate the oracle's cached cells, as it does the
+        model's own."""
+        from repro.engine.checkers import definition_hash
+        from repro.models.power import Power
+        from repro.sim.oracle import PowerHardware, _NoLbPower
+
+        oracle_before = definition_hash(PowerHardware())
+        model_before = definition_hash(Power())
+        stock = Power.define()
+        monkeypatch.setattr(
+            Power, "define", classmethod(lambda cls: stock.drop("Propagation"))
+        )
+        for cls in (Power, _NoLbPower):  # drop the per-class definitions
+            monkeypatch.setattr(cls, "_ir_definition", None, raising=False)
+        assert definition_hash(Power()) != model_before
+        assert definition_hash(PowerHardware()) != oracle_before
 
 
 class TestResultCache:
@@ -324,51 +342,6 @@ class TestMemoization:
         assert next(iter(candidate_executions(program))).outcome == head.outcome
         total = sum(1 for _ in candidate_executions(program))
         assert total == len(expansion._seen) and expansion._done
-
-    def test_memo_model_consults_memo(self):
-        class Counting:
-            arch = "sc"
-            tm = False
-
-            def __init__(self):
-                self.calls = 0
-
-            @property
-            def name(self):
-                return "counting"
-
-            def consistent(self, x):
-                self.calls += 1
-                return True
-
-        inner = Counting()
-        memo = MemoModel.__new__(MemoModel)
-        # Bypass MemoryModel.__init__ plumbing: exercise the memo only.
-        memo.model = inner
-        memo.tm = inner.tm
-        memo.arch = inner.arch
-        memo.spec = "consistent:counting"
-        memo.cache = NullCache()
-        memo._memo = {}
-        x = classic("sb")
-        assert memo.consistent(x) and memo.consistent(x)
-        assert inner.calls == 1
-
-    def test_memo_model_uses_persistent_cache(self, tmp_path):
-        x = classic("sb")
-        first = MemoModel(get_model("sc"), ResultCache(tmp_path))
-        verdict = first.consistent(x)
-        second = MemoModel(get_model("sc"), ResultCache(tmp_path))
-        assert second.consistent(x) == verdict
-        assert second.cache.hits == 1
-
-    def test_memo_model_matches_wrapped(self):
-        model = get_model("x86")
-        memo = MemoModel(model)
-        for name in ("sb", "mp", "lb", "2+2w"):
-            x = classic(name)
-            assert memo.consistent(x) == model.consistent(x)
-            assert memo.check(x).consistent == model.check(x).consistent
 
 
 class TestParallelMap:

@@ -8,7 +8,9 @@ from repro.catalog import CATALOG
 from repro.core.analysis import analyze
 from repro.core.builder import ExecutionBuilder
 from repro.core.events import Label
-from repro.models.base import Axiom, Verdict
+from repro.ir import prelude as P
+from repro.ir.model import IRAxiom
+from repro.models.base import Verdict
 from repro.models.cpp import Cpp, acquire_events, atomic_events, release_events, sc_events
 from repro.models.power import power_ppo
 from repro.models.registry import get_model, model_names
@@ -50,9 +52,8 @@ class TestVerdicts:
         assert "StrongIsol" in get_model("x86").failed_axioms(x)
 
     def test_bad_axiom_kind(self):
-        axiom = Axiom("x", "bogus", "r")
-        with pytest.raises(ValueError):
-            axiom.holds({"r": None})
+        with pytest.raises(ValueError, match="unknown axiom kind"):
+            IRAxiom("x", "bogus", "r", P.po)
 
 
 class TestBaselineVsTm:

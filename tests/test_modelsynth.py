@@ -6,9 +6,17 @@ story — TxnOrder alone explains the transactional corpus, reproducing
 the paper's remark that TxnOrder subsumes StrongIsol.
 """
 
+import itertools
+from collections import namedtuple
+
 import pytest
 
 from repro.catalog import CATALOG
+from repro.core.analysis import analyze
+from repro.core.events import Label
+from repro.core.lifting import stronglift
+from repro.core.relation import Relation
+from repro.models.base import witness_for
 from repro.models.registry import get_model
 from repro.synth.diy import Cycle, classic, cycle_execution
 from repro.synth.modelsynth import (
@@ -19,6 +27,7 @@ from repro.synth.modelsynth import (
     ModelParams,
     SketchModel,
     SynthesisOutcome,
+    _fence_kinds,
     synthesize_model,
 )
 
@@ -68,12 +77,115 @@ def txn_corpus() -> list[Example]:
     return corpus
 
 
+#: One axiom of the reference sketch: a check over a relation-dict key.
+Axiom = namedtuple("Axiom", "name kind relation")
+
+
+class ReferenceSketch:
+    """The sketch as a relation dictionary plus an axiom list — the
+    formulation :class:`SketchModel` had before it was expressed as IR
+    nodes, kept verbatim as its oracle."""
+
+    def __init__(self, params: ModelParams) -> None:
+        self.params = params
+
+    def relations(self, x):
+        x = analyze(x).execution
+        n = x.n
+        p = self.params
+        kind_sets = {"W": x.writes, "R": x.reads}
+
+        hb = x.rfe | x.coe | x.fre
+        for pair in p.ppo:
+            hb = hb | (
+                Relation.cross(n, kind_sets[pair[0]], kind_sets[pair[1]])
+                & x.po
+            )
+        if "addr" in p.deps:
+            hb = hb | x.addr_rel
+        if "data" in p.deps:
+            hb = hb | x.data_rel
+        if "ctrl" in p.deps:
+            hb = hb | x.ctrl_rel
+        for kind in p.fences:
+            hb = hb | x.fence_rel(kind)
+        if "tfence" in p.tm:
+            hb = hb | x.tfence
+
+        relations = {
+            "coherence": x.po_loc | x.com,
+            "rmw_isol": x.rmw_rel & (x.fre @ x.coe),
+            "hb": hb,
+        }
+        if "strong_isol" in p.tm:
+            relations["strong_isol"] = stronglift(x.com, x.stxn)
+        if "txn_order" in p.tm:
+            relations["txn_order"] = stronglift(hb.plus(), x.stxn)
+        if "txn_cancels_rmw" in p.tm:
+            relations["txn_cancels_rmw"] = x.rmw_rel & x.tfence
+        return relations
+
+    def axioms(self):
+        out = [
+            Axiom("Coherence", "acyclic", "coherence"),
+            Axiom("RMWIsol", "empty", "rmw_isol"),
+            Axiom("Order", "acyclic", "hb"),
+        ]
+        if "strong_isol" in self.params.tm:
+            out.append(Axiom("StrongIsol", "acyclic", "strong_isol"))
+        if "txn_order" in self.params.tm:
+            out.append(Axiom("TxnOrder", "acyclic", "txn_order"))
+        if "txn_cancels_rmw" in self.params.tm:
+            out.append(Axiom("TxnCancelsRMW", "empty", "txn_cancels_rmw"))
+        return tuple(out)
+
+    def results(self, x, tm: bool):
+        """``(name, holds, witness)`` per axiom, in declaration order."""
+        a = analyze(x)
+        relations = self.relations(a if tm else a.baseline)
+        out = []
+        for axiom in self.axioms():
+            witness = witness_for(axiom.kind, relations[axiom.relation])
+            out.append((axiom.name, witness is None, witness))
+        return out
+
+
+def _sketches(corpus):
+    """Every sketch point ``synthesize_model(corpus)`` scans."""
+    holes = (PPO_HOLES, DEP_HOLES, _fence_kinds(corpus), TM_HOLES)
+    subsets = [
+        [
+            frozenset(c)
+            for r in range(len(group) + 1)
+            for c in itertools.combinations(group, r)
+        ]
+        for group in holes
+    ]
+    for ppo, deps, fences, tm in itertools.product(*subsets):
+        yield ModelParams(ppo=ppo, deps=deps, fences=fences, tm=tm)
+
+
 class TestModelParams:
     def test_unknown_holes_rejected(self):
         with pytest.raises(ValueError, match="unknown ppo holes"):
             ModelParams(ppo=frozenset({"XX"}))
         with pytest.raises(ValueError, match="unknown tm holes"):
             ModelParams(tm=frozenset({"magic"}))
+
+    def test_unknown_fence_holes_rejected(self):
+        """A fence hole must name a fence flavour: one that orders
+        nothing would only double the search space."""
+        with pytest.raises(ValueError, match="unknown fences holes"):
+            ModelParams(fences=frozenset({"bogus"}))
+        with pytest.raises(ValueError, match="unknown fences holes"):
+            synthesize_model(
+                x86_corpus(), include_tm=False, extra_fences=("bogus",)
+            )
+
+    def test_every_fence_flavour_is_a_hole(self):
+        for kind in Label.FENCE_KINDS:
+            params = ModelParams(fences=frozenset({kind}))
+            assert SketchModel(params).consistent(classic("sb"))
 
     def test_ordering(self):
         weak = ModelParams(ppo=frozenset({"WW"}))
@@ -126,6 +238,24 @@ class TestSketchModel:
         names = [a.name for a in model.axioms()]
         assert "StrongIsol" in names and "TxnOrder" in names
         assert "TxnCancelsRMW" in names
+
+    @pytest.mark.parametrize("corpus", [x86_corpus, txn_corpus])
+    @pytest.mark.parametrize("tm", [True, False])
+    def test_matches_the_relation_dictionary_reference(self, corpus, tm):
+        """On every sketch the synthesizer scans, ``consistent`` and
+        ``check`` (names, holds, witnesses) equal the reference."""
+        examples = [example.execution for example in corpus()]
+        for params in _sketches(corpus()):
+            model = SketchModel(params, tm=tm)
+            reference = ReferenceSketch(params)
+            for x in examples:
+                want = reference.results(x, tm)
+                verdict = model.check(x)
+                got = [(r.name, r.holds, r.witness) for r in verdict.results]
+                assert got == want, (params.describe(), x)
+                expected = all(holds for _, holds, _ in want)
+                assert verdict.consistent == expected
+                assert model.consistent(x) == expected
 
 
 class TestTsoRecovery:
